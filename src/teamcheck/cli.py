@@ -77,6 +77,9 @@ def cmd_check(args) -> int:
     missing = report.free_variables - team.domain()
     if missing:
         raise TeamcheckError(f"team misses free variables {sorted(missing)}")
+    outside = sorted({v for row in team.rows for v in row if not 0 <= v < structure.domain_size})
+    if outside:
+        raise TeamcheckError(f"team values {outside} lie outside the domain 0..{structure.domain_size - 1}")
     if args.fast_path == "auto" and report.fragment == "FO(inc)":
         satisfied = eval_inclusion(structure, team, formula)
         path = "inclusion-fixpoint"

@@ -296,8 +296,8 @@ def parse_structure(text: str) -> Structure:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno, 1)
     if domain_size is None:
         raise ParseError("missing `domain <n>` header")
-    vocab = Vocabulary(tuple(rel_decls), tuple(const_decls))
     try:
+        vocab = Vocabulary(tuple(rel_decls), tuple(const_decls))
         return Structure(vocab, domain_size, relations, constants)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc

@@ -18,6 +18,21 @@ via Tarski evaluation, inclusion formulas use the polynomial fixpoint,
 dependence formulas the strict evaluator, everything else the generic lax
 evaluator.  ``fast_path="off"`` forces the generic evaluator for every
 check (pruning then also uses it).
+
+``wd_solve`` looks for a size-``k`` interpretation of a free relation
+symbol that makes a sentence true, again in colex order.  The formula is
+validated once per search, not once per candidate.  The search is pruned by
+the symbol's polarity (formulas are in negation normal form):
+
+* if the symbol occurs only negatively, or not at all, the formula is
+  antitone in it, so a partial choice that already fails is cut;
+* if it occurs only positively, the formula is monotone, so a partial
+  choice is cut when it fails even with every smaller index added — no
+  completion can exceed that set;
+* mixed polarity gets no pruning.
+
+Both cuts remove only subtrees without solutions, so the witness is the
+same as an unpruned search would find.
 """
 
 from __future__ import annotations
@@ -88,6 +103,8 @@ def colex_subsets(
 
     Partial choices are passed largest-index-first; when ``extendable``
     returns false for a partial, every candidate extending it is skipped.
+    Only proper partials (fewer than ``k`` picks) are offered to
+    ``extendable``: complete choices are yielded, and the caller checks them.
     """
 
     def rec(limit: int, chosen: tuple[int, ...], need: int) -> Iterator[tuple[int, ...]]:
@@ -96,7 +113,7 @@ def colex_subsets(
             return
         for m in range(need - 1, limit):
             extended = chosen + (m,)
-            if extendable is not None and not extendable(extended):
+            if need > 1 and extendable is not None and not extendable(extended):
                 continue
             yield from rec(m, extended, need - 1)
 
@@ -235,6 +252,14 @@ def wt_solve_sentence(structure: Structure, formula: Formula, k: int) -> bool:
     return False
 
 
+def _validate_wd(structure: Structure, wd: WdFormula) -> None:
+    """Checks that depend only on the structure and the formula, not on the tuples."""
+    if structure.vocabulary.relation_arity(wd.symbol) is not None:
+        raise EvaluationError(f"free symbol {wd.symbol!r} clashes with the vocabulary")
+    if free_vars(wd.formula):
+        raise EvaluationError("weighted definability formulas must be sentences")
+
+
 def wd_check(structure: Structure, wd: WdFormula, interpretation: Iterable[Row]) -> bool:
     """Tarski truth of the formula with the free symbol interpreted by the given tuples."""
     tuples = frozenset(tuple(t) for t in interpretation)
@@ -243,22 +268,40 @@ def wd_check(structure: Structure, wd: WdFormula, interpretation: Iterable[Row])
             raise EvaluationError(f"tuple {tup} does not match free-symbol arity {wd.arity}")
         if any(not (0 <= v < structure.domain_size) for v in tup):
             raise EvaluationError(f"tuple {tup} mentions elements outside the domain")
-    if structure.vocabulary.relation_arity(wd.symbol) is not None:
-        raise EvaluationError(f"free symbol {wd.symbol!r} clashes with the vocabulary")
-    if free_vars(wd.formula):
-        raise EvaluationError("weighted definability formulas must be sentences")
+    _validate_wd(structure, wd)
     return eval_fo_tarski(structure, {}, wd.formula, extra_relations={wd.symbol: tuples})
 
 
 def wd_solve(structure: Structure, wd: WdFormula, k: int) -> frozenset[Row] | None:
-    """First size-k interpretation of the free symbol making the formula true."""
+    """First size-k interpretation of the free symbol making the formula true.
+
+    The formula is validated once; candidates are built from the domain, so
+    they need no per-tuple checks.  Subtrees that the free symbol's polarity
+    rules out are pruned, which never changes the colex-first witness.
+    """
     if k < 0:
         raise ValueError("solution size must be nonnegative")
     universe = list(itertools.product(structure.elements, repeat=wd.arity))
     if k > len(universe):
         return None
-    for combo in colex_subsets(len(universe), k):
-        interpretation = frozenset(universe[i] for i in combo)
-        if wd_check(structure, wd, interpretation):
-            return interpretation
+    _validate_wd(structure, wd)
+    symbol, formula = wd.symbol, wd.formula
+
+    def holds(indices: tuple[int, ...]) -> bool:
+        interpretation = frozenset(universe[i] for i in indices)
+        return eval_fo_tarski(structure, {}, formula, extra_relations={symbol: interpretation})
+
+    polarities = set(wd.occurrences())
+    extendable = None
+    if polarities <= {"negative"}:
+        # antitone: a failing partial has no satisfying superset
+        extendable = holds
+    elif polarities == {"positive"}:
+        # monotone: every completion lies inside the partial plus all smaller indices
+        def extendable(partial: tuple[int, ...]) -> bool:
+            return holds(partial + tuple(range(partial[-1])))
+
+    for combo in colex_subsets(len(universe), k, extendable):
+        if holds(combo):
+            return frozenset(universe[i] for i in combo)
     return None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -114,6 +115,7 @@ class Report:
 
 
 def _run_cases(runner: Callable, tasks: Sequence, jobs: int) -> list:
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         return [runner(task) for task in tasks]
     with multiprocessing.Pool(jobs) as pool:

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -66,6 +68,19 @@ class TestCheck:
         ])
         assert code == 1
         assert capsys.readouterr().out.splitlines()[0] == "UNSAT"
+
+    def test_values_outside_domain_are_input_error(self, k3_files, tmp_path, capsys):
+        structure, _ = k3_files
+        team = tmp_path / "outside.txt"
+        team.write_text("x=7 y=-1\n")
+        code = main([
+            "check", "--structure", str(structure), "--formula", "!E(x,y)",
+            "--team", str(team),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "outside the domain" in captured.err
 
     def test_parse_error_reports_position(self, k3_files, capsys):
         structure, team = k3_files
@@ -221,6 +236,30 @@ class TestVerify:
         assert code == 0
         parallel = json.loads(capsys.readouterr().out)
         assert serial["cases"] == parallel["cases"]
+
+    def test_jobs_capped_at_cpu_count(self, monkeypatch, capsys):
+        # the recorder stands in for the pool, so no worker process starts
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, runner, tasks, chunksize=1):
+                return [runner(task) for task in tasks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        code = main(["verify", "circuit", "--seed", "8", "--cases", "12", "--jobs", str(10**6), "--json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
+        assert sizes == [3]
 
 
 class TestBench:

@@ -235,6 +235,10 @@ class TestStructureFormat:
         with pytest.raises(ParseError):
             parse_structure("domain 2\nrel E/2 : (0,1,1)\n")
 
+    def test_duplicate_relation_is_parse_error(self):
+        with pytest.raises(ParseError):
+            parse_structure("domain 2\nrel E/2 : (0,1)\nrel E/2 : (1,0)\n")
+
 
 class TestTeamFormat:
     def test_round_trip(self):

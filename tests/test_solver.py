@@ -1,13 +1,16 @@
 import itertools
+import math
+import random
 
 import pytest
 
 from teamcheck.errors import EvaluationError
 from teamcheck.evaluator import eval_team
-from teamcheck.formulas import parse
+from teamcheck.formulas import And, Eq, Exists, Forall, Neq, NegRel, Or, Rel, Var, parse
 from teamcheck.model import Structure, Team, Vocabulary
 from teamcheck.reductions import Graph, encode_clique, encode_domset, graph_brute
 from teamcheck.solver import (
+    WdFormula,
     WtInstance,
     colex_subsets,
     wd_check,
@@ -43,6 +46,18 @@ class TestColexOrder:
         seen = list(colex_subsets(4, 2, extendable=lambda partial: 3 not in partial))
         assert all(3 not in combo for combo in seen)
         assert len(seen) == 3  # pairs within {0,1,2}
+
+    def test_extendable_never_sees_complete_choices(self):
+        for n, k in [(5, 2), (5, 3), (4, 1), (4, 4), (3, 0)]:
+            offered = []
+
+            def extendable(partial):
+                offered.append(partial)
+                return True
+
+            assert len(list(colex_subsets(n, k, extendable))) == math.comb(n, k)
+            assert all(len(partial) < k for partial in offered)
+            assert bool(offered) == (k >= 2)
 
 
 class TestWtSolve:
@@ -189,3 +204,66 @@ class TestWeightedDefinability:
             for k in range(0, 5):
                 expected = graph_brute("clique", graph, k)
                 assert (wd_solve(structure, clique_wd_formula(), k) is not None) == expected
+
+
+# --- wd_solve against an unpruned search ---------------------------------------
+
+_VARIABLES = ("x", "y", "z")
+_POLARITIES = {
+    "negative": {"negative"},
+    "positive": {"positive"},
+    "mixed": {"positive", "negative"},
+    "absent": set(),
+}
+
+
+def _random_wd_sentence(rng, polarity, arity):
+    """A random NNF sentence whose occurrences of S all have the given polarity."""
+    signs = {
+        "absent": [],
+        "negative": ["negative"] * rng.randint(1, 2),
+        "positive": ["positive"] * rng.randint(1, 2),
+        "mixed": ["positive", "negative"] + rng.sample(["positive", "negative"], rng.randint(0, 1)),
+    }[polarity]
+
+    def terms(count):
+        return tuple(Var(rng.choice(_VARIABLES)) for _ in range(count))
+
+    parts = [(Rel if sign == "positive" else NegRel)("S", terms(arity)) for sign in signs]
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice((Rel, NegRel, Eq, Neq))
+        parts.append(kind("E", terms(2)) if kind in (Rel, NegRel) else kind(*terms(2)))
+    rng.shuffle(parts)
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        parts[i:i + 2] = [rng.choice((And, Or))(parts[i], parts[i + 1])]
+    formula = parts[0]
+    for variable in rng.sample(_VARIABLES, len(_VARIABLES)):
+        formula = rng.choice((Exists, Forall))(variable, formula)
+    return formula
+
+
+def _reference_wd_solve(structure, wd, k):
+    universe = list(itertools.product(range(structure.domain_size), repeat=wd.arity))
+    for combo in colex_subsets(len(universe), k):
+        interpretation = frozenset(universe[i] for i in combo)
+        if wd_check(structure, wd, interpretation):
+            return interpretation
+    return None
+
+
+@pytest.mark.parametrize("arity, domain", [(1, 3), (1, 4), (2, 2), (2, 3)])
+def test_wd_solve_matches_unpruned_search(arity, domain):
+    rng = random.Random(1000 * arity + domain)
+    outcomes = set()
+    for polarity in _POLARITIES:
+        for _ in range(15):
+            edges = [(a, b) for a in range(domain) for b in range(domain) if rng.random() < 0.5]
+            structure = structure_with_edges(domain, edges)
+            wd = WdFormula(_random_wd_sentence(rng, polarity, arity), arity=arity)
+            assert set(wd.occurrences()) == _POLARITIES[polarity]
+            for k in range(domain ** arity + 2):
+                expected = _reference_wd_solve(structure, wd, k)
+                assert wd_solve(structure, wd, k) == expected, (polarity, wd.formula, edges, k)
+                outcomes.add(expected is None)
+    assert outcomes == {True, False}
