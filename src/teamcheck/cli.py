@@ -29,7 +29,7 @@ from .reductions import (
     encode_wsat,
     parse_graph,
 )
-from .solver import WtInstance, wt_solve
+from .solver import WtInstance, solve_path, wt_solve
 from .verify import (
     run_circuit_suite,
     run_clique_experiment,
@@ -77,9 +77,6 @@ def cmd_check(args) -> int:
     missing = report.free_variables - team.domain()
     if missing:
         raise TeamcheckError(f"team misses free variables {sorted(missing)}")
-    outside = sorted({v for row in team.rows for v in row if not 0 <= v < structure.domain_size})
-    if outside:
-        raise TeamcheckError(f"team values {outside} lie outside the domain 0..{structure.domain_size - 1}")
     if args.fast_path == "auto" and report.fragment == "FO(inc)":
         satisfied = eval_inclusion(structure, team, formula)
         path = "inclusion-fixpoint"
@@ -104,12 +101,14 @@ def cmd_solve(args) -> int:
     formula = parse(_formula_text(args), structure.vocabulary)
     report = classify(formula)
     instance = WtInstance(structure, formula, args.k)
+    path = solve_path(report, args.fast_path)
     witness = wt_solve(instance, fast_path=args.fast_path, max_cache_entries=args.max_cache)
     if args.json:
         payload = {
             "verdict": "SAT" if witness is not None else "UNSAT",
             "fragment": report.fragment,
             "k": args.k,
+            "path": path,
             "witness": [a for a in witness.assignments()] if witness is not None else None,
         }
         print(json.dumps(payload, sort_keys=True))
@@ -120,7 +119,7 @@ def cmd_solve(args) -> int:
             print("SAT")
             for assignment in witness.assignments():
                 print(" ".join(f"{v}={assignment[v]}" for v in witness.variables))
-        print(_fragment_line(report))
+        print(_fragment_line(report) + f" path={path}")
     return 0 if witness is not None else 1
 
 
@@ -240,7 +239,7 @@ def cmd_bench(args) -> int:
                 "family": args.family,
                 "n": n,
                 "k": k,
-                "path": "inclusion-fixpoint",
+                "path": solve_path(classify(instance.formula)),
                 "seconds": round(elapsed, 6),
                 "verdict": "SAT" if witness is not None else "UNSAT",
             })
@@ -336,6 +335,11 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the formula tree is walked recursively; a chain this deep needs a
+        # flatter representation, not a traceback that reads as UNSAT
+        print("error: formula nests too deeply for the recursive evaluator", file=sys.stderr)
         return 2
 
 

@@ -44,7 +44,6 @@ from .formulas import (
     atom_set,
     classify,
     free_vars,
-    subformulas,
 )
 from .model import Row, Structure, Team, duplicate
 
@@ -122,9 +121,20 @@ def eval_fo_tarski(
     return sat(formula, dict(assignment))
 
 
+def require_in_domain(structure: Structure, team: Team) -> None:
+    """Reject a team whose values are not elements of the structure."""
+    outside = sorted({v for row in team.rows for v in row if not 0 <= v < structure.domain_size})
+    if outside:
+        raise EvaluationError(
+            f"team values {outside} lie outside the domain 0..{structure.domain_size - 1}"
+        )
+
+
 def is_pointwise(formula: Formula) -> bool:
     """Quantifier-free and first-order, hence decidable row by row."""
-    return all(isinstance(sub, (Eq, Neq, Rel, NegRel, And, Or)) for sub in subformulas(formula))
+    if isinstance(formula, (And, Or)):
+        return is_pointwise(formula.left) and is_pointwise(formula.right)
+    return isinstance(formula, (Eq, Neq, Rel, NegRel))
 
 
 class _Evaluator:
@@ -404,8 +414,10 @@ def eval_team(
     """Decide team satisfaction under the lax semantics (or strict, see module doc).
 
     The team domain must contain the formula's free variables; extra
-    variables are permitted.  Every formula is satisfied by the empty team.
+    variables are permitted, and every value must be an element of the
+    structure.  Every formula is satisfied by the empty team.
     """
+    require_in_domain(structure, team)
     missing = free_vars(formula) - team.domain()
     if missing:
         raise EvaluationError(f"free variables {sorted(missing)} are not in the team domain")

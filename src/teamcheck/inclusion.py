@@ -2,26 +2,43 @@
 
 Satisfying teams of a formula built from first-order literals and inclusion
 atoms are closed under unions, so every team has a unique maximal
-satisfying subteam: the union of all satisfying subteams.  ``max_subteam``
-computes it compositionally:
+satisfying subteam: the union of all satisfying subteams.
 
-* literals keep the rows satisfying them pointwise;
+``compile_max`` walks the formula once for a fixed structure and variable
+order and returns a function from a row set to its maximal satisfying
+subset.  Everything that depends only on the formula is settled during
+that walk: the fragment, free-variable, relation and constant checks, the
+column index of every term, and each quantifier's extended variable order
+and insertion position.  The compiled nodes then work on bare
+``frozenset``s of rows, with no ``Team`` objects, and remember per row what
+does not change between calls (literal truth, quantifier extensions), so a
+search that checks many candidate teams compiles once and pays for each
+distinct row once:
+
+* a quantifier-free first-order subformula keeps the rows satisfying it
+  pointwise;
 * an inclusion atom repeatedly deletes rows whose left value is missing
   from the surviving right values;
 * a disjunction takes the union of its operands' maximal subteams;
 * a conjunction alternates the two operands to a mutual fixpoint;
 * an existential keeps rows with at least one surviving extension in the
-  maximal subteam of the duplicated team;
+  maximal subteam of the duplicated rows;
 * a universal repeatedly keeps rows all of whose extensions survive.
 
-``eval_inclusion`` then reports whether the maximal subteam is the whole
-team.  Correctness is established in the test suite purely by agreement
-with the exhaustive evaluator and with subteam enumeration.
+``max_subteam`` and ``eval_inclusion`` compile and run once per call;
+``eval_inclusion`` reports whether the maximal subteam is the whole team.
+Correctness is established in the test suite purely by agreement with the
+exhaustive evaluator and with subteam enumeration.
 """
 
 from __future__ import annotations
 
+import operator
+from itertools import chain, compress
+from typing import Callable, Iterable
+
 from .errors import EvaluationError
+from .evaluator import is_pointwise, require_in_domain
 from .formulas import (
     And,
     Eq,
@@ -38,122 +55,185 @@ from .formulas import (
     atom_set,
     free_vars,
 )
-from .model import Row, Structure, Team, duplicate
+from .model import Row, Structure, Team
+
+Rows = frozenset[Row]
+MaxSubteam = Callable[[Rows], Rows]
 
 
-def _require_inclusion_fragment(formula: Formula) -> None:
+class _Memo(dict):
+    """Per-row results computed on first lookup; ``memo.__getitem__`` maps rows in C."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable[[Row], object]):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, row: Row):
+        value = self[row] = self.compute(row)
+        return value
+
+
+def compile_max(structure: Structure, variables: Iterable[str], formula: Formula) -> MaxSubteam:
+    """The maximal-subteam map of ``formula`` on teams over the sorted ``variables``.
+
+    The returned function takes the row set of such a team (value tuples
+    aligned with ``variables``) and returns its maximal satisfying subset.
+    Values must be elements of the structure; callers check that.
+    """
     banned = atom_set(formula) & {"dep", "indep"}
     if banned:
         raise EvaluationError(
             f"the fixpoint evaluator handles only literals and inclusion atoms, got {sorted(banned)}"
         )
+    variables = tuple(variables)
+    if variables != tuple(sorted(set(variables))):
+        raise ValueError("team variables must be sorted and distinct")
+    missing = free_vars(formula) - set(variables)
+    if missing:
+        raise EvaluationError(f"free variables {sorted(missing)} are not in the team domain")
+    return _Compiler(structure).node(formula, variables)
 
 
-def _value_getter(structure: Structure, team: Team, terms: tuple[Term, ...]):
-    plan: list[tuple[bool, int]] = []
-    for term in terms:
-        if isinstance(term, Var):
-            try:
-                plan.append((True, team.variables.index(term.name)))
-            except ValueError:
-                raise EvaluationError(
-                    f"free variable {term.name!r} is not in the team domain {team.variables}"
-                ) from None
-        else:
-            try:
-                plan.append((False, structure.constants[term.name]))
-            except KeyError:
-                raise EvaluationError(f"unknown constant {term.name!r}") from None
+class _Compiler:
+    def __init__(self, structure: Structure):
+        self.structure = structure
+        self.singletons = tuple((a,) for a in structure.elements)
 
-    def get(row: Row) -> Row:
-        return tuple(row[i] if is_var else i for is_var, i in plan)
+    # -- terms and symbols ----------------------------------------------------
 
-    return get
+    def values(self, terms: tuple[Term, ...], variables: tuple[str, ...]) -> Callable[[Row], Row]:
+        """Row -> value tuple of the terms, resolved to column indices once."""
+        if all(isinstance(t, Var) for t in terms):
+            columns = [variables.index(t.name) for t in terms]
+            if len(columns) > 1:
+                return operator.itemgetter(*columns)
+            (column,) = columns
+            return lambda row: (row[column],)
+        plan = tuple(
+            (True, variables.index(t.name)) if isinstance(t, Var) else (False, self.constant(t.name))
+            for t in terms
+        )
+        return lambda row: tuple(row[i] if is_var else i for is_var, i in plan)
 
-
-def _literal_rows(structure: Structure, team: Team, formula: Formula) -> frozenset[Row]:
-    if isinstance(formula, Eq):
-        get = _value_getter(structure, team, (formula.left, formula.right))
-        return frozenset(r for r in team.rows if (lambda ab: ab[0] == ab[1])(get(r)))
-    if isinstance(formula, Neq):
-        get = _value_getter(structure, team, (formula.left, formula.right))
-        return frozenset(r for r in team.rows if (lambda ab: ab[0] != ab[1])(get(r)))
-    if isinstance(formula, (Rel, NegRel)):
+    def constant(self, name: str) -> int:
         try:
-            relation = structure.relations[formula.name]
+            return self.structure.constants[name]
         except KeyError:
-            raise EvaluationError(f"unknown relation {formula.name!r}") from None
-        get = _value_getter(structure, team, formula.terms)
-        if isinstance(formula, Rel):
-            return frozenset(r for r in team.rows if get(r) in relation)
-        return frozenset(r for r in team.rows if get(r) not in relation)
-    raise EvaluationError(f"unexpected node {type(formula).__name__}")
+            raise EvaluationError(f"unknown constant {name!r}") from None
 
+    def relation(self, name: str) -> frozenset[Row]:
+        try:
+            return self.structure.relations[name]
+        except KeyError:
+            raise EvaluationError(f"unknown relation {name!r}") from None
 
-def _extensions(structure: Structure, team: Team, variable: str, row: Row) -> list[Row]:
-    new_vars = tuple(sorted(set(team.variables) | {variable}))
-    at = new_vars.index(variable)
-    if variable in team.variables:
-        return [row[:at] + (a,) + row[at + 1:] for a in structure.elements]
-    return [row[:at] + (a,) + row[at:] for a in structure.elements]
+    # -- nodes ------------------------------------------------------------------
+
+    def node(self, formula: Formula, variables: tuple[str, ...]) -> MaxSubteam:
+        if is_pointwise(formula):
+            return self.pointwise(formula, variables)
+        if isinstance(formula, Inc):
+            return self.inclusion(formula, variables)
+        if isinstance(formula, Or):
+            left, right = self.node(formula.left, variables), self.node(formula.right, variables)
+            return lambda rows: left(rows) | right(rows)
+        if isinstance(formula, And):
+            return self.conjunction(formula, variables)
+        if isinstance(formula, (Exists, Forall)):
+            return self.quantifier(formula, variables)
+        raise EvaluationError(f"unexpected node {type(formula).__name__}")
+
+    def row_test(self, formula: Formula, variables: tuple[str, ...]) -> Callable[[Row], bool]:
+        if isinstance(formula, (Eq, Neq)):
+            get = self.values((formula.left, formula.right), variables)
+            compare = operator.eq if isinstance(formula, Eq) else operator.ne
+            return lambda row: compare(*get(row))
+        if isinstance(formula, (Rel, NegRel)):
+            relation = self.relation(formula.name)
+            get = self.values(formula.terms, variables)
+            if isinstance(formula, Rel):
+                return lambda row: get(row) in relation
+            return lambda row: get(row) not in relation
+        left, right = self.row_test(formula.left, variables), self.row_test(formula.right, variables)
+        if isinstance(formula, And):
+            return lambda row: left(row) and right(row)
+        return lambda row: left(row) or right(row)
+
+    def pointwise(self, formula: Formula, variables: tuple[str, ...]) -> MaxSubteam:
+        truth = _Memo(self.row_test(formula, variables))
+
+        def run(rows: Rows) -> Rows:
+            return frozenset(compress(rows, map(truth.__getitem__, rows)))
+
+        return run
+
+    def inclusion(self, formula: Inc, variables: tuple[str, ...]) -> MaxSubteam:
+        if all(isinstance(t, Var) for t in formula.left + formula.right):
+            # Both sides share one width, so a bare value may stand for a 1-tuple.
+            get_left = operator.itemgetter(*(variables.index(t.name) for t in formula.left))
+            get_right = operator.itemgetter(*(variables.index(t.name) for t in formula.right))
+        else:
+            get_left = self.values(formula.left, variables)
+            get_right = self.values(formula.right, variables)
+
+        def run(rows: Rows) -> Rows:
+            while True:
+                right_values = set(map(get_right, rows))
+                if right_values.issuperset(map(get_left, rows)):
+                    return rows
+                rows = frozenset(compress(rows, map(right_values.__contains__, map(get_left, rows))))
+
+        return run
+
+    def conjunction(self, formula: And, variables: tuple[str, ...]) -> MaxSubteam:
+        left, right = self.node(formula.left, variables), self.node(formula.right, variables)
+
+        def run(rows: Rows) -> Rows:
+            while True:
+                passed = right(left(rows))
+                # passed is a subset of rows, so equal sizes mean a fixpoint
+                if len(passed) == len(rows):
+                    return rows
+                rows = passed
+
+        return run
+
+    def quantifier(self, formula: Exists | Forall, variables: tuple[str, ...]) -> MaxSubteam:
+        extended = tuple(sorted(set(variables) | {formula.variable}))
+        at = extended.index(formula.variable)
+        after = at + 1 if formula.variable in variables else at
+        singletons = self.singletons
+        body = self.node(formula.body, extended)
+        extensions = _Memo(lambda row: tuple(row[:at] + a + row[after:] for a in singletons))
+
+        def surviving(rows: Rows) -> tuple[list[tuple[Row, ...]], Rows]:
+            per_row = list(map(extensions.__getitem__, rows))
+            return per_row, body(frozenset(chain.from_iterable(per_row)))
+
+        if isinstance(formula, Exists):
+            def run_exists(rows: Rows) -> Rows:
+                per_row, kept = surviving(rows)
+                return frozenset(compress(rows, map(operator.not_, map(kept.isdisjoint, per_row))))
+
+            return run_exists
+
+        def run_forall(rows: Rows) -> Rows:
+            while True:
+                per_row, kept = surviving(rows)
+                passed = frozenset(compress(rows, map(kept.issuperset, per_row)))
+                if len(passed) == len(rows):
+                    return rows
+                rows = passed
+
+        return run_forall
 
 
 def max_subteam(structure: Structure, team: Team, formula: Formula) -> Team:
     """The unique maximal subteam satisfying the formula."""
-    _require_inclusion_fragment(formula)
-    missing = free_vars(formula) - team.domain()
-    if missing:
-        raise EvaluationError(f"free variables {sorted(missing)} are not in the team domain")
-    return _max(structure, team, formula)
-
-
-def _max(structure: Structure, team: Team, formula: Formula) -> Team:
-    if isinstance(formula, (Eq, Neq, Rel, NegRel)):
-        return Team(team.variables, _literal_rows(structure, team, formula))
-    if isinstance(formula, Inc):
-        get_left = _value_getter(structure, team, formula.left)
-        get_right = _value_getter(structure, team, formula.right)
-        rows = set(team.rows)
-        while True:
-            right_values = {get_right(r) for r in rows}
-            surviving = {r for r in rows if get_left(r) in right_values}
-            if surviving == rows:
-                return Team(team.variables, frozenset(rows))
-            rows = surviving
-    if isinstance(formula, Or):
-        left = _max(structure, team, formula.left)
-        right = _max(structure, team, formula.right)
-        return Team(team.variables, left.rows | right.rows)
-    if isinstance(formula, And):
-        current = team
-        while True:
-            passed = _max(structure, _max(structure, current, formula.left), formula.right)
-            if passed.rows == current.rows:
-                return current
-            current = passed
-    if isinstance(formula, Exists):
-        dup = duplicate(structure, team, formula.variable)
-        surviving = _max(structure, dup, formula.body).rows
-        keep = [
-            row
-            for row in team.rows
-            if any(ext in surviving for ext in _extensions(structure, team, formula.variable, row))
-        ]
-        return Team(team.variables, frozenset(keep))
-    if isinstance(formula, Forall):
-        current = team
-        while True:
-            dup = duplicate(structure, current, formula.variable)
-            surviving = _max(structure, dup, formula.body).rows
-            keep = frozenset(
-                row
-                for row in current.rows
-                if all(ext in surviving for ext in _extensions(structure, current, formula.variable, row))
-            )
-            if keep == current.rows:
-                return current
-            current = Team(current.variables, keep)
-    raise EvaluationError(f"unexpected node {type(formula).__name__}")
+    require_in_domain(structure, team)
+    return Team(team.variables, compile_max(structure, team.variables, formula)(team.rows))
 
 
 def eval_inclusion(structure: Structure, team: Team, formula: Formula) -> bool:

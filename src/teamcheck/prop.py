@@ -219,12 +219,16 @@ def parse_prop(text: str) -> PropFormula:
             col += len(chunk)
         pos = m.end()
     tokens.append(("eof", "", col))
+    cursor = 0
 
     def peek() -> tuple[str, str, int]:
-        return tokens[0]
+        return tokens[cursor]
 
     def advance() -> tuple[str, str, int]:
-        return tokens.pop(0)
+        nonlocal cursor
+        token = tokens[cursor]
+        cursor += 1
+        return token
 
     def parse_unit() -> PropFormula:
         kind, textval, column = advance()

@@ -13,11 +13,14 @@ the search tractable without changing verdicts or witnesses:
   fail too;
 * branches that cannot reach ``k`` rows are cut by counting.
 
-Per-candidate checks dispatch by fragment: first-order formulas are counted
-via Tarski evaluation, inclusion formulas use the polynomial fixpoint,
-dependence formulas the strict evaluator, everything else the generic lax
-evaluator.  ``fast_path="off"`` forces the generic evaluator for every
-check (pruning then also uses it).
+Per-candidate checks dispatch by fragment, and ``solve_path`` names the
+choice: first-order formulas are counted via Tarski evaluation, inclusion
+formulas use the polynomial fixpoint, dependence formulas the strict
+evaluator, everything else the generic lax evaluator.  ``fast_path="off"``
+forces the generic evaluator for every check (pruning then also uses it).
+The inclusion fixpoint is compiled once per search, on the first
+candidate (``inclusion.compile_max``), and each candidate's row set ``R``
+is then accepted when its maximal satisfying subset is ``R`` itself.
 
 ``wd_solve`` looks for a size-``k`` interpretation of a free relation
 symbol that makes a sentence true, again in colex order.  The formula is
@@ -49,8 +52,8 @@ from .evaluator import (
     eval_fo_tarski,
     is_pointwise,
 )
-from .formulas import And, Formula, NegRel, Rel, classify, free_vars, subformulas
-from .inclusion import eval_inclusion
+from .formulas import And, Formula, FragmentReport, NegRel, Rel, classify, free_vars, subformulas
+from .inclusion import compile_max
 from .model import Row, Structure, Team, canonical_rows
 
 
@@ -120,6 +123,25 @@ def colex_subsets(
     yield from rec(indices, (), k)
 
 
+def solve_path(report: FragmentReport, fast_path: str = "auto") -> str:
+    """The check ``wt_solve`` runs for a classified formula.
+
+    ``sentence`` for formulas without free variables, ``generic`` (the lax
+    evaluator) whenever ``fast_path`` is ``"off"``, and otherwise by
+    fragment: ``fo-counting`` for FO, ``inclusion-fixpoint`` for FO(inc),
+    ``strict`` for FO(dep), ``generic`` for the rest.
+    """
+    if fast_path not in ("auto", "off"):
+        raise ValueError("fast_path must be 'auto' or 'off'")
+    if not report.free_variables:
+        return "sentence"
+    if fast_path == "off":
+        return "generic"
+    return {"FO": "fo-counting", "FO(inc)": "inclusion-fixpoint", "FO(dep)": "strict"}.get(
+        report.fragment, "generic"
+    )
+
+
 def wt_solve(
     instance: WtInstance,
     *,
@@ -137,26 +159,15 @@ def wt_solve(
     variables = tuple(sorted(free_vars(formula)))
     if k == 0:
         return Team.empty(variables)
-    if not variables:
+    report = classify(formula)
+    path = solve_path(report, fast_path)
+    if path == "sentence":
         if k == 1 and _sentence_holds(structure, formula, fast_path, max_cache_entries):
             return Team.singleton_empty_assignment()
         return None
-    report = classify(formula)
     rows = canonical_rows(structure.domain_size, variables)
 
-    evaluator = _Evaluator(structure, strict=False, max_cache_entries=max_cache_entries)
-    strict_evaluator = _Evaluator(structure, strict=True, max_cache_entries=max_cache_entries)
-
-    def lax_check(team_rows: Iterable[Row]) -> bool:
-        return evaluator.check(Team(variables, frozenset(team_rows)), formula)
-
-    def strict_check(team_rows: Iterable[Row]) -> bool:
-        return strict_evaluator.check(Team(variables, frozenset(team_rows)), formula)
-
-    def inclusion_check(team_rows: Iterable[Row]) -> bool:
-        return eval_inclusion(structure, Team(variables, frozenset(team_rows)), formula)
-
-    if fast_path == "auto" and report.fragment == "FO":
+    if path == "fo-counting":
         satisfying = [
             row
             for row in rows
@@ -166,18 +177,22 @@ def wt_solve(
             return None
         return Team(variables, frozenset(satisfying[:k]))
 
-    if fast_path == "auto":
-        if report.fragment == "FO(inc)":
-            check = inclusion_check
-        elif report.fragment == "FO(dep)":
-            check = strict_check
-        else:
-            check = lax_check
-    else:
-        check = lax_check
+    if path == "inclusion-fixpoint":
+        compiled = None
 
-    downward = report.fragment in ("FO", "FO(dep)")
-    prune_check = strict_check if (fast_path == "auto" and report.fragment == "FO(dep)") else lax_check
+        def check(team_rows: frozenset[Row]) -> bool:
+            # compiled on the first candidate: searches settled by counting
+            # rows never pay for it
+            nonlocal compiled
+            if compiled is None:
+                compiled = compile_max(structure, variables, formula)
+            return compiled(team_rows) == team_rows
+
+    else:
+        evaluator = _Evaluator(structure, strict=path == "strict", max_cache_entries=max_cache_entries)
+
+        def check(team_rows: Iterable[Row]) -> bool:
+            return evaluator.check(Team(variables, frozenset(team_rows)), formula)
 
     allowed_indices = list(range(len(rows)))
     literals = _top_level_literals(formula)
@@ -194,9 +209,10 @@ def wt_solve(
         return None
 
     extendable = None
-    if downward:
+    if report.fragment in ("FO", "FO(dep)"):
+        # downward closed: a failing partial team has no satisfying superset
         def extendable(partial: tuple[int, ...]) -> bool:
-            return prune_check(rows[allowed_indices[i]] for i in partial)
+            return check(rows[allowed_indices[i]] for i in partial)
 
     for combo in colex_subsets(len(allowed_indices), k, extendable):
         team_rows = frozenset(rows[allowed_indices[i]] for i in combo)

@@ -141,6 +141,31 @@ class TestSolve:
         outs = capsys.readouterr().out
         assert outs.count("SAT") == 2
 
+    def test_json_reports_the_path(self, tmp_path, capsys):
+        structure = tmp_path / "k3.structure"
+        structure.write_text(K3_STRUCTURE)
+        for mode, path in (("auto", "inclusion-fixpoint"), ("off", "generic")):
+            code = main([
+                "solve", "--structure", str(structure), "--formula", CLIQUE_FORMULA,
+                "-k", "6", "--fast-path", mode, "--json",
+            ])
+            assert code == 0
+            assert json.loads(capsys.readouterr().out)["path"] == path
+
+
+class TestDeepFormulas:
+    @pytest.mark.parametrize("atom", ["x=x", "inc(x;x)"])
+    def test_deep_conjunction_is_input_error(self, k3_files, capsys, atom):
+        structure, team = k3_files
+        code = main([
+            "check", "--structure", str(structure), "--formula", " & ".join([atom] * 3000),
+            "--team", str(team),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "formula nests too deeply" in captured.err
+
 
 class TestReduce:
     def test_clique_reduction_outputs(self, tmp_path, capsys):
@@ -280,3 +305,10 @@ class TestBench:
         strip = lambda text: [",".join(r.split(",")[:4] + r.split(",")[5:]) for r in text.splitlines()]
         assert strip(first.read_text()) == strip(second.read_text())
         assert len(first.read_text().splitlines()) == 5
+
+    def test_path_column_names_the_check_that_runs(self, capsys):
+        # k=0 encodes to the first-order guard x!=x, which is counted
+        code = main(["bench", "domset", "--n-range", "3:3", "--k-range", "0:1", "--seed", "3"])
+        assert code == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(row[2], row[3]) for row in rows] == [("0", "fo-counting"), ("1", "inclusion-fixpoint")]

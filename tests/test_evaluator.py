@@ -49,6 +49,11 @@ class TestAtoms:
         with pytest.raises(EvaluationError):
             eval_team(k3(), Team.make(["x"], [(0,)]), parse("E(x,y)"))
 
+    def test_values_outside_domain_raise(self):
+        team = Team.make(["x", "y"], [(7, -1)])
+        with pytest.raises(EvaluationError, match="outside the domain"):
+            eval_team(k3(), team, parse("!E(x,y)", GRAPH_VOCAB))
+
 
 class TestEmptyTeamProperty:
     FORMULAS = [

@@ -5,7 +5,7 @@ import pytest
 from teamcheck.errors import EvaluationError
 from teamcheck.evaluator import eval_team
 from teamcheck.formulas import parse
-from teamcheck.inclusion import eval_inclusion, max_subteam
+from teamcheck.inclusion import compile_max, eval_inclusion, max_subteam
 from teamcheck.model import Structure, Team, Vocabulary
 
 GRAPH_VOCAB = Vocabulary(relations=(("E", 2),))
@@ -49,6 +49,43 @@ class TestMaxSubteam:
     def test_rejects_dependence_atoms(self):
         with pytest.raises(EvaluationError):
             max_subteam(k3(), Team.empty(["x", "y"]), parse("dep(x;y)"))
+
+    def test_values_outside_domain_raise(self):
+        team = Team.make(["x", "y"], [(7, -1)])
+        formula = parse("inc(x;x) & !E(x,y)", GRAPH_VOCAB)
+        for evaluate in (max_subteam, eval_inclusion):
+            with pytest.raises(EvaluationError, match="outside the domain"):
+                evaluate(k3(), team, formula)
+
+
+class TestCompileMax:
+    @pytest.mark.parametrize("text, vocabulary, message", [
+        ("inc(x;y) & dep(x;y)", None, "only literals and inclusion atoms"),
+        ("inc(x;z)", None, "not in the team domain"),
+        ("inc(x;y) | F(x)", None, "unknown relation 'F'"),
+        ("exists u (inc(u;x) & u=c)", Vocabulary(constants=("c",)), "unknown constant 'c'"),
+    ])
+    def test_formula_errors_come_from_the_compile_step(self, text, vocabulary, message):
+        # raised before any row set is seen, so a search validates once
+        with pytest.raises(EvaluationError, match=message):
+            compile_max(k3(), ("x", "y"), parse(text, vocabulary))
+
+    def test_rejects_unsorted_variables(self):
+        # rows align with the variable order, which Team keeps sorted
+        with pytest.raises(ValueError):
+            compile_max(k3(), ("y", "x"), parse("inc(x;y)"))
+
+    def test_one_compiled_map_serves_every_subteam(self):
+        structure = structure_with_edges(3, [(0, 1), (1, 2), (2, 2)])
+        formula = parse("forall u (!E(u,x) | inc(x;u)) & exists v inc(v;y)", GRAPH_VOCAB)
+        compiled = compile_max(structure, ("x", "y"), formula)
+        rows = [(a, b) for a in range(3) for b in range(3)]
+        # largest teams first, so memos filled on big row sets serve small ones
+        for size in range(len(rows), -1, -1):
+            for combo in itertools.combinations(rows, size):
+                team = Team.make(["x", "y"], combo)
+                fresh = max_subteam(structure, team, formula)
+                assert compiled(team.rows) == fresh.rows, combo
 
     def test_is_union_of_satisfying_subteams_on_random_cases(self):
         from teamcheck.corpus import SplitMix64, random_structure, random_team

@@ -38,6 +38,14 @@ class TestParseProp:
         for text in ["x1", "!x2", "x1 & x2", "(x1 | x2) & (!x3 | x1)"]:
             assert render_prop(parse_prop(text)) == text
 
+    def test_long_chain_round_trip(self):
+        text = " & ".join(f"!x{i}" if i % 3 == 0 else f"x{i}" for i in range(5000))
+        formula = parse_prop(text)
+        assert len(formula.children) == 5000
+        assert render_prop(formula) == text
+        with pytest.raises(ParseError, match=f"line 1, column {len(text) + 2}: mixing"):
+            parse_prop(text + " | x1")
+
 
 class TestGammaClass:
     def test_conjunction_of_literals(self):

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from teamcheck.corpus import SplitMix64, random_structure
 from teamcheck.errors import EvaluationError
 from teamcheck.evaluator import eval_team
-from teamcheck.formulas import And, Eq, Exists, Forall, Neq, NegRel, Or, Rel, Var, parse
-from teamcheck.model import Structure, Team, Vocabulary
+from teamcheck.formulas import And, Eq, Exists, Forall, Neq, NegRel, Or, Rel, Var, free_vars, is_quantifier_free, parse
+from teamcheck.model import Structure, Team, Vocabulary, canonical_rows
 from teamcheck.reductions import Graph, encode_clique, encode_domset, graph_brute
 from teamcheck.solver import (
     WdFormula,
@@ -19,7 +20,7 @@ from teamcheck.solver import (
     wt_solve_fo,
     wt_solve_sentence,
 )
-from teamcheck.verify import clique_wd_formula, domset_wd_formula
+from teamcheck.verify import INCLUSION_TEMPLATES, clique_wd_formula, domset_wd_formula
 
 GRAPH_VOCAB = Vocabulary(relations=(("E", 2),))
 
@@ -267,3 +268,31 @@ def test_wd_solve_matches_unpruned_search(arity, domain):
                 assert wd_solve(structure, wd, k) == expected, (polarity, wd.formula, edges, k)
                 outcomes.add(expected is None)
     assert outcomes == {True, False}
+
+
+def _reference_wt_witness(structure, formula, k):
+    """The colex-first size-k team the exhaustive evaluator accepts, over all rows."""
+    variables = tuple(sorted(free_vars(formula)))
+    rows = canonical_rows(structure.domain_size, variables)
+    for combo in colex_subsets(len(rows), k):
+        team = Team(variables, frozenset(rows[i] for i in combo))
+        if eval_team(structure, team, formula):
+            return team
+    return None
+
+
+@pytest.mark.parametrize("text, max_n", [t for t in INCLUSION_TEMPLATES if free_vars(parse(t[0]))])
+def test_inclusion_witness_matches_exhaustive_search(text, max_n):
+    # One compiled checker serves every candidate of a search, so a stale
+    # memo would show here as a different witness.  The exhaustive check of
+    # a quantified formula is exponential in the team size, hence the caps
+    # (the template's domain bound from the inclusion suite, and 4 rows).
+    rng = SplitMix64(sum(map(ord, text)))
+    for n in range(1, min(3, max_n) + 1):
+        for _ in range(2):
+            structure = random_structure(rng, n, min_domain=n)
+            formula = parse(text, structure.vocabulary)
+            rows = n ** len(free_vars(formula))
+            for k in range(rows + 1 if is_quantifier_free(formula) else min(rows, 4) + 1):
+                expected = _reference_wt_witness(structure, formula, k)
+                assert wt_solve(WtInstance(structure, formula, k)) == expected, (n, k)
