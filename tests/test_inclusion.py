@@ -57,6 +57,30 @@ class TestMaxSubteam:
             with pytest.raises(EvaluationError, match="outside the domain"):
                 evaluate(k3(), team, formula)
 
+    def test_is_union_of_satisfying_subteams_on_random_cases(self):
+        from teamcheck.corpus import SplitMix64, random_structure, random_team
+
+        rng = SplitMix64(23)
+        templates = [
+            "inc(x;y)",
+            "inc(x;y) & E(x,y)",
+            "inc(x;y) | inc(y;x)",
+            "exists u (E(x,u) & inc(u;x))",
+            "forall u (!E(u,x) | inc(x;u))",
+        ]
+        for _ in range(40):
+            structure = random_structure(rng, 3)
+            text = templates[rng.randrange(len(templates))]
+            formula = parse(text)
+            team = random_team(rng, structure, ["x", "y"], 3)
+            rows = sorted(team.rows)
+            union = set()
+            for mask in range(1 << len(rows)):
+                sub = frozenset(r for i, r in enumerate(rows) if mask >> i & 1)
+                if eval_team(structure, Team(team.variables, sub), formula):
+                    union |= sub
+            assert max_subteam(structure, team, formula).rows == frozenset(union), (text, rows)
+
 
 class TestCompileMax:
     @pytest.mark.parametrize("text, vocabulary, message", [
@@ -86,30 +110,6 @@ class TestCompileMax:
                 team = Team.make(["x", "y"], combo)
                 fresh = max_subteam(structure, team, formula)
                 assert compiled(team.rows) == fresh.rows, combo
-
-    def test_is_union_of_satisfying_subteams_on_random_cases(self):
-        from teamcheck.corpus import SplitMix64, random_structure, random_team
-
-        rng = SplitMix64(23)
-        templates = [
-            "inc(x;y)",
-            "inc(x;y) & E(x,y)",
-            "inc(x;y) | inc(y;x)",
-            "exists u (E(x,u) & inc(u;x))",
-            "forall u (!E(u,x) | inc(x;u))",
-        ]
-        for _ in range(40):
-            structure = random_structure(rng, 3)
-            text = templates[rng.randrange(len(templates))]
-            formula = parse(text)
-            team = random_team(rng, structure, ["x", "y"], 3)
-            rows = sorted(team.rows)
-            union = set()
-            for mask in range(1 << len(rows)):
-                sub = frozenset(r for i, r in enumerate(rows) if mask >> i & 1)
-                if eval_team(structure, Team(team.variables, sub), formula):
-                    union |= sub
-            assert max_subteam(structure, team, formula).rows == frozenset(union), (text, rows)
 
 
 class TestEvalInclusion:
