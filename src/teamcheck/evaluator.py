@@ -4,11 +4,31 @@
 semantic clauses: a disjunction holds when some pair of subteams covering
 the team satisfies the disjuncts (overlap allowed), an existential
 quantifier when some row-wise choice of nonempty value sets produces a
-satisfying supplemented team.  Both searches run over the subset lattice of
-the relevant team with per-call memoization keyed on (subformula, team), so
-repeated subteams are decided once.  Cost is exponential in team size by
+satisfying supplemented team.  Cost is exponential in team size by
 nature; polynomial paths exist separately for first-order formulas (Tarski
 evaluation) and inclusion formulas (the fixpoint in ``inclusion``).
+
+The evaluator compiles each (formula, variable order) pair once into a tree
+of nodes.  A node is a function from a bare ``frozenset`` of rows (value
+tuples aligned with the variable order) to a bool; no ``Team`` is built
+during the search.  The compile step settles everything that depends only
+on the formula:
+
+* structurally equal subformulas over the same variables share one node;
+* every term is resolved to a column index or a constant (``term_values``);
+* each quantifier fixes its extended variable order and insertion position
+  (``extension_memo``);
+* a quantifier-free first-order subformula becomes one row test
+  (``row_test``), applied row by row because such formulas are flat;
+* unknown relations and constants raise ``EvaluationError``.
+
+Every node other than a row test keeps its own memo keyed by the row set,
+whose hash CPython caches, so repeated subteams are decided once.
+``max_cache_entries`` bounds the total number of those entries per
+evaluator; inserts are refused once it is reached.  Row tests and
+extensions are memoised per row instead, one entry per distinct row.
+``term_values``, ``row_test``, ``extension_memo`` and ``Memo`` are shared
+with the compile step of the inclusion fixpoint.
 
 Strict mode replaces covers by disjoint splits and value sets by single
 values.  That reading is equivalent to the lax one only on the
@@ -22,7 +42,10 @@ disjunct.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping
+import operator
+from collections import Counter
+from itertools import chain, filterfalse
+from typing import Callable, Mapping
 
 from .errors import EvaluationError
 from .formulas import (
@@ -45,7 +68,7 @@ from .formulas import (
     classify,
     free_vars,
 )
-from .model import Row, Structure, Team, duplicate
+from .model import Row, Structure, Team
 
 DEFAULT_CACHE_ENTRIES = 1 << 20
 
@@ -53,6 +76,10 @@ DEFAULT_CACHE_ENTRIES = 1 << 20
 # enumeration, which stays correct but may be very slow on unsatisfiable
 # input.
 _SUBSET_LIMIT = 20
+
+Rows = frozenset[Row]
+Node = Callable[[Rows], bool]
+_EMPTY: Rows = frozenset()
 
 
 def eval_fo_tarski(
@@ -137,270 +164,316 @@ def is_pointwise(formula: Formula) -> bool:
     return isinstance(formula, (Eq, Neq, Rel, NegRel))
 
 
+# -- compile-step primitives, shared with ``inclusion.compile_max`` ------------
+
+
+class Memo(dict):
+    """Per-row results computed on first lookup; ``memo.__getitem__`` maps rows in C."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable[[Row], object]):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, row: Row):
+        value = self[row] = self.compute(row)
+        return value
+
+
+def term_values(
+    structure: Structure,
+    terms: tuple[Term, ...],
+    variables: tuple[str, ...],
+    *,
+    bare: bool = False,
+) -> Callable[[Row], object]:
+    """Row -> the terms' value tuple, every term resolved to a column or a constant once.
+
+    With ``bare``, a single term yields its bare value instead of a 1-tuple;
+    such keys compare correctly only with keys of the same width.
+    """
+    plan: list[tuple[bool, int]] = []
+    for term in terms:
+        if isinstance(term, Var):
+            try:
+                plan.append((True, variables.index(term.name)))
+            except ValueError:
+                raise EvaluationError(
+                    f"free variable {term.name!r} is not in the team domain {variables}"
+                ) from None
+        elif isinstance(term, Const):
+            try:
+                plan.append((False, structure.constants[term.name]))
+            except KeyError:
+                raise EvaluationError(f"unknown constant {term.name!r}") from None
+    if plan and all(is_var for is_var, _ in plan) and (bare or len(plan) > 1):
+        return operator.itemgetter(*(i for _, i in plan))
+    if bare and len(plan) == 1:
+        ((_, value),) = plan  # a constant
+        return lambda row: value
+    frozen = tuple(plan)
+    return lambda row: tuple(row[i] if is_var else i for is_var, i in frozen)
+
+
+def row_test(structure: Structure, formula: Formula, variables: tuple[str, ...]) -> Callable[[Row], bool]:
+    """One row's truth for a pointwise formula (see ``is_pointwise``)."""
+    if isinstance(formula, (Eq, Neq)):
+        get = term_values(structure, (formula.left, formula.right), variables)
+        compare = operator.eq if isinstance(formula, Eq) else operator.ne
+        return lambda row: compare(*get(row))
+    if isinstance(formula, (Rel, NegRel)):
+        get = term_values(structure, formula.terms, variables)
+        rel = structure.relations.get(formula.name)
+        if rel is None:
+            raise EvaluationError(f"unknown relation {formula.name!r}")
+        if isinstance(formula, Rel):
+            return lambda row: get(row) in rel
+        return lambda row: get(row) not in rel
+    left = row_test(structure, formula.left, variables)
+    right = row_test(structure, formula.right, variables)
+    if isinstance(formula, And):
+        return lambda row: left(row) and right(row)
+    return lambda row: left(row) or right(row)
+
+
+def extension_memo(structure: Structure, variables: tuple[str, ...], variable: str) -> tuple[tuple[str, ...], Memo]:
+    """The variable order after extending by ``variable``, and per-row extensions.
+
+    An extension memo maps a row to its extensions by every element, in
+    element order; an existing ``variable`` column is overwritten.
+    """
+    extended = tuple(sorted(set(variables) | {variable}))
+    at = extended.index(variable)
+    after = at + 1 if variable in variables else at
+    singletons = tuple((a,) for a in structure.elements)
+    return extended, Memo(lambda row: tuple(row[:at] + a + row[after:] for a in singletons))
+
+
+def _subsets(rows: list[Row]) -> list[Rows]:
+    """Every subset of ``rows``; bit i of the index selects ``rows[i]``."""
+    subsets = [_EMPTY]
+    for row in rows:
+        single = frozenset((row,))
+        subsets += [subset | single for subset in subsets]
+    return subsets
+
+
+def _or_streaming(left: Node, right: Node, rows: list[Row]) -> bool:
+    for labels in itertools.product((0, 1, 2), repeat=len(rows)):
+        left_rows = frozenset(r for r, l in zip(rows, labels) if l != 1)
+        right_rows = frozenset(r for r, l in zip(rows, labels) if l != 0)
+        if left(left_rows) and right(right_rows):
+            return True
+    return False
+
+
+def _exists_streaming(body: Node, per_row: list[tuple[Row, ...]]) -> bool:
+    options = []
+    for exts in per_row:
+        row_options = []
+        for size in range(1, len(exts) + 1):
+            row_options.extend(itertools.combinations(exts, size))
+        options.append(row_options)
+    for choice in itertools.product(*options):
+        chosen: set[Row] = set()
+        for group in choice:
+            chosen.update(group)
+        if body(frozenset(chosen)):
+            return True
+    return False
+
+
 class _Evaluator:
+    """Team satisfaction by compiled nodes; ``check`` is the entry point."""
+
     def __init__(self, structure: Structure, strict: bool, max_cache_entries: int):
         self.structure = structure
         self.strict = strict
-        self.max_cache = max_cache_entries
-        self.cache: dict = {}
-        self._columns: dict = {}
-
-    # -- plumbing ---------------------------------------------------------
+        # Memo inserts left, in a cell that the nodes share.  No node refers
+        # to the evaluator, so refcounting frees it and its memos at once.
+        self.room = [max_cache_entries]
+        self.memos: list[dict[Rows, bool]] = []  # every node's memo
+        self.nodes: dict[tuple[Formula, tuple[str, ...]], Node] = {}
 
     def check(self, team: Team, formula: Formula) -> bool:
-        key = (formula, team.variables, team.rows)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        value = self._dispatch(team, formula)
-        if len(self.cache) < self.max_cache:
-            self.cache[key] = value
-        return value
+        return self.node(formula, team.variables)(team.rows)
 
-    def _subteam(self, team: Team, rows) -> Team:
-        return Team(team.variables, frozenset(rows))
+    def node(self, formula: Formula, variables: tuple[str, ...]) -> Node:
+        key = (formula, variables)
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = self._compile(formula, variables)
+        return node
 
-    def _values(self, team: Team, terms: tuple[Term, ...]):
-        """Per-row value-tuple extractor for a term tuple, resolved once."""
-        key = (terms, team.variables)
-        getter = self._columns.get(key)
-        if getter is None:
-            plan: list[tuple[bool, int]] = []
-            for term in terms:
-                if isinstance(term, Var):
-                    try:
-                        plan.append((True, team.variables.index(term.name)))
-                    except ValueError:
-                        raise EvaluationError(
-                            f"free variable {term.name!r} is not in the team domain {team.variables}"
-                        ) from None
-                elif isinstance(term, Const):
-                    try:
-                        plan.append((False, self.structure.constants[term.name]))
-                    except KeyError:
-                        raise EvaluationError(f"unknown constant {term.name!r}") from None
-            frozen = tuple(plan)
+    def _memoised(self, decide: Node) -> Node:
+        memo: dict[Rows, bool] = {}
+        self.memos.append(memo)
+        room = self.room
 
-            def getter(row: Row, _plan=frozen) -> Row:
-                return tuple(row[i] if is_var else i for is_var, i in _plan)
+        def node(rows: Rows) -> bool:
+            value = memo.get(rows)
+            if value is None:
+                value = decide(rows)
+                if room[0] > 0:
+                    room[0] -= 1
+                    memo[rows] = value
+            return value
 
-            self._columns[key] = getter
-        return getter
+        return node
 
-    def _relation(self, name: str) -> frozenset[Row]:
-        try:
-            return self.structure.relations[name]
-        except KeyError:
-            raise EvaluationError(f"unknown relation {name!r}") from None
+    # -- compile dispatch ---------------------------------------------------
 
-    # -- clause dispatch ----------------------------------------------------
-
-    def _dispatch(self, team: Team, formula: Formula) -> bool:
-        if isinstance(formula, Eq):
-            get = self._values(team, (formula.left, formula.right))
-            return all(a == b for a, b in (get(r) for r in team.rows))
-        if isinstance(formula, Neq):
-            get = self._values(team, (formula.left, formula.right))
-            return all(a != b for a, b in (get(r) for r in team.rows))
-        if isinstance(formula, Rel):
-            get = self._values(team, formula.terms)
-            relation = self._relation(formula.name)
-            return all(get(r) in relation for r in team.rows)
-        if isinstance(formula, NegRel):
-            get = self._values(team, formula.terms)
-            relation = self._relation(formula.name)
-            return all(get(r) not in relation for r in team.rows)
+    def _compile(self, formula: Formula, variables: tuple[str, ...]) -> Node:
+        if is_pointwise(formula):
+            truth = Memo(row_test(self.structure, formula, variables))
+            return lambda rows: all(map(truth.__getitem__, rows))
         if isinstance(formula, Dep):
-            return self._dep(team, formula)
-        if isinstance(formula, Inc):
-            return self._inc(team, formula)
-        if isinstance(formula, Indep):
-            return self._indep(team, formula)
-        if isinstance(formula, And):
-            return self.check(team, formula.left) and self.check(team, formula.right)
-        if isinstance(formula, Or):
-            return self._or_strict(team, formula) if self.strict else self._or_lax(team, formula)
-        if isinstance(formula, Exists):
-            return self._exists_strict(team, formula) if self.strict else self._exists_lax(team, formula)
-        if isinstance(formula, Forall):
-            return self.check(duplicate(self.structure, team, formula.variable), formula.body)
-        raise EvaluationError(f"not a formula: {formula!r}")
+            decide = self._dep(formula, variables)
+        elif isinstance(formula, Inc):
+            decide = self._inc(formula, variables)
+        elif isinstance(formula, Indep):
+            decide = self._indep(formula, variables)
+        elif isinstance(formula, And):
+            left, right = self.node(formula.left, variables), self.node(formula.right, variables)
+            decide = lambda rows: left(rows) and right(rows)
+        elif isinstance(formula, Or):
+            decide = (self._or_strict if self.strict else self._or_lax)(formula, variables)
+        elif isinstance(formula, Exists):
+            decide = (self._exists_strict if self.strict else self._exists_lax)(formula, variables)
+        elif isinstance(formula, Forall):
+            extended, extensions = extension_memo(self.structure, variables, formula.variable)
+            body = self.node(formula.body, extended)
+            decide = lambda rows: body(frozenset(chain.from_iterable(map(extensions.__getitem__, rows))))
+        else:
+            raise EvaluationError(f"not a formula: {formula!r}")
+        return self._memoised(decide)
 
-    def _dep(self, team: Team, formula: Dep) -> bool:
-        get_det = self._values(team, formula.determinants)
-        get_val = self._values(team, formula.determined)
-        seen: dict[Row, Row] = {}
-        for row in team.rows:
-            key = get_det(row)
-            val = get_val(row)
-            if seen.setdefault(key, val) != val:
-                return False
-        return True
+    def _dep(self, formula: Dep, variables: tuple[str, ...]) -> Node:
+        get_det = term_values(self.structure, formula.determinants, variables, bare=True)
+        get_val = term_values(self.structure, formula.determined, variables, bare=True)
 
-    def _inc(self, team: Team, formula: Inc) -> bool:
-        get_left = self._values(team, formula.left)
-        get_right = self._values(team, formula.right)
-        right_values = {get_right(r) for r in team.rows}
-        return all(get_left(r) in right_values for r in team.rows)
+        def decide(rows: Rows) -> bool:
+            # each determinant value has one determined value
+            dets = list(map(get_det, rows))
+            return len(set(zip(dets, map(get_val, rows)))) == len(set(dets))
 
-    def _indep(self, team: Team, formula: Indep) -> bool:
-        get_cond = self._values(team, formula.condition)
-        get_left = self._values(team, formula.left)
-        get_right = self._values(team, formula.right)
-        triples = {(get_cond(r), get_left(r), get_right(r)) for r in team.rows}
-        by_cond: dict[Row, tuple[set[Row], set[Row]]] = {}
-        for cond, left, right in triples:
-            lefts, rights = by_cond.setdefault(cond, (set(), set()))
-            lefts.add(left)
-            rights.add(right)
-        for cond, (lefts, rights) in by_cond.items():
-            for left in lefts:
-                for right in rights:
-                    if (cond, left, right) not in triples:
-                        return False
-        return True
+        return decide
+
+    def _inc(self, formula: Inc, variables: tuple[str, ...]) -> Node:
+        get_left = term_values(self.structure, formula.left, variables, bare=True)
+        get_right = term_values(self.structure, formula.right, variables, bare=True)
+        return lambda rows: set(map(get_right, rows)).issuperset(map(get_left, rows))
+
+    def _indep(self, formula: Indep, variables: tuple[str, ...]) -> Node:
+        get_cond = term_values(self.structure, formula.condition, variables, bare=True)
+        get_left = term_values(self.structure, formula.left, variables, bare=True)
+        get_right = term_values(self.structure, formula.right, variables, bare=True)
+
+        def decide(rows: Rows) -> bool:
+            # The triples with one condition value lie inside the product of
+            # their left and right values, and fill it exactly when their
+            # count is the product of the two value counts.
+            triples = set(zip(map(get_cond, rows), map(get_left, rows), map(get_right, rows)))
+            lefts = Counter(cond for cond, _ in {(cond, left) for cond, left, _ in triples})
+            rights = Counter(cond for cond, _ in {(cond, right) for cond, _, right in triples})
+            return len(triples) == sum(count * rights[cond] for cond, count in lefts.items())
+
+        return decide
 
     # -- lax disjunction: search for a cover ------------------------------
 
-    def _or_lax(self, team: Team, formula: Or) -> bool:
-        if self.check(team, formula.left) and self.check(team, formula.right):
-            return True
-        rows = sorted(team.rows)
-        count = len(rows)
-        if count == 0:
-            return False  # unreachable: the full/full cover above decides empty teams
-        if count > _SUBSET_LIMIT:
-            return self._or_streaming(team, formula, rows)
-        full = (1 << count) - 1
+    def _or_lax(self, formula: Or, variables: tuple[str, ...]) -> Node:
+        left, right = self.node(formula.left, variables), self.node(formula.right, variables)
 
-        def mask_team(mask: int) -> Team:
-            return self._subteam(team, (rows[i] for i in range(count) if mask >> i & 1))
-
-        # Right-side satisfiers, then their downward closure: reach[m] says
-        # some satisfying right part contains every row of m.
-        reach = [False] * (full + 1)
-        for mask in range(full + 1):
-            reach[mask] = self.check(mask_team(mask), formula.right)
-        for bit in range(count):
-            b = 1 << bit
+        def decide(rows: Rows) -> bool:
+            if left(rows) and right(rows):
+                return True
+            ordered = sorted(rows)
+            count = len(ordered)
+            if count == 0:
+                return False  # unreachable: the full/full cover above decides empty teams
+            if count > _SUBSET_LIMIT:
+                return _or_streaming(left, right, ordered)
+            subsets = _subsets(ordered)
+            full = len(subsets) - 1
+            # Right-side satisfiers, then their downward closure: reach[m] says
+            # some satisfying right part contains every row of m.
+            reach = list(map(right, subsets))
+            for bit in range(count):
+                b = 1 << bit
+                for mask in range(full + 1):
+                    if not reach[mask] and mask & b == 0 and reach[mask | b]:
+                        reach[mask] = True
             for mask in range(full + 1):
-                if not reach[mask] and mask & b == 0 and reach[mask | b]:
-                    reach[mask] = True
-        for mask in range(full + 1):
-            if reach[full ^ mask] and self.check(mask_team(mask), formula.left):
-                return True
-        return False
+                if reach[full ^ mask] and left(subsets[mask]):
+                    return True
+            return False
 
-    def _or_streaming(self, team: Team, formula: Or, rows) -> bool:
-        for labels in itertools.product((0, 1, 2), repeat=len(rows)):
-            left_team = self._subteam(team, (r for r, l in zip(rows, labels) if l != 1))
-            right_team = self._subteam(team, (r for r, l in zip(rows, labels) if l != 0))
-            if self.check(left_team, formula.left) and self.check(right_team, formula.right):
-                return True
-        return False
+        return decide
 
     # -- lax existential: search for a covering supplemented team ----------
 
-    def _exists_lax(self, team: Team, formula: Exists) -> bool:
-        dup = duplicate(self.structure, team, formula.variable)
-        if not team.rows:
-            return self.check(dup, formula.body)
-        drows = sorted(dup.rows)
-        position = {row: i for i, row in enumerate(drows)}
-        group_masks = self._extension_masks(team, formula.variable, dup, position)
-        count = len(drows)
-        if count > _SUBSET_LIMIT:
-            return self._exists_streaming(team, formula, dup)
-        minimum = len(group_masks) if formula.variable not in team.variables else 1
-        for size in range(max(1, minimum), count + 1):
-            for combo in itertools.combinations(range(count), size):
-                mask = 0
-                for i in combo:
-                    mask |= 1 << i
-                if all(mask & g for g in group_masks):
-                    candidate = self._subteam(dup, (drows[i] for i in combo))
-                    if self.check(candidate, formula.body):
+    def _exists_lax(self, formula: Exists, variables: tuple[str, ...]) -> Node:
+        extended, extensions = extension_memo(self.structure, variables, formula.variable)
+        body = self.node(formula.body, extended)
+
+        def decide(rows: Rows) -> bool:
+            if not rows:
+                return body(_EMPTY)
+            # Two rows' extension sets are equal (the rows differ only in the
+            # quantified variable) or disjoint, so the distinct sets partition
+            # the duplicated rows; a supplement must meet every part.
+            parts = set(map(extensions.__getitem__, rows))
+            part_of = {row: i for i, part in enumerate(parts) for row in part}
+            drows = sorted(part_of)
+            count = len(drows)
+            if count > _SUBSET_LIMIT:
+                return _exists_streaming(body, [extensions[row] for row in sorted(rows)])
+            parts_of = [part_of[row] for row in drows]
+            for size in range(len(parts), count + 1):
+                for combo in itertools.combinations(range(count), size):
+                    if len(set(map(parts_of.__getitem__, combo))) == len(parts) and body(
+                        frozenset(map(drows.__getitem__, combo))
+                    ):
                         return True
-        return False
+            return False
 
-    def _extension_masks(self, team: Team, variable: str, dup: Team, position) -> list[int]:
-        masks = []
-        for row in team.rows:
-            mask = 0
-            for ext in self._extensions(team, variable, row):
-                mask |= 1 << position[ext]
-            masks.append(mask)
-        return masks
-
-    def _extensions(self, team: Team, variable: str, row: Row) -> list[Row]:
-        new_vars = tuple(sorted(set(team.variables) | {variable}))
-        at = new_vars.index(variable)
-        if variable in team.variables:
-            return [row[:at] + (a,) + row[at + 1:] for a in self.structure.elements]
-        return [row[:at] + (a,) + row[at:] for a in self.structure.elements]
-
-    def _exists_streaming(self, team: Team, formula: Exists, dup: Team) -> bool:
-        rows = sorted(team.rows)
-        options = []
-        for row in rows:
-            exts = self._extensions(team, formula.variable, row)
-            row_options = []
-            for size in range(1, len(exts) + 1):
-                row_options.extend(itertools.combinations(exts, size))
-            options.append(row_options)
-        for choice in itertools.product(*options):
-            chosen: set[Row] = set()
-            for group in choice:
-                chosen.update(group)
-            if self.check(Team(dup.variables, frozenset(chosen)), formula.body):
-                return True
-        return False
+        return decide
 
     # -- strict clauses -----------------------------------------------------
 
-    def _row_satisfies(self, team: Team, row: Row, formula: Formula) -> bool:
-        if isinstance(formula, And):
-            return self._row_satisfies(team, row, formula.left) and self._row_satisfies(team, row, formula.right)
-        if isinstance(formula, Or):
-            return self._row_satisfies(team, row, formula.left) or self._row_satisfies(team, row, formula.right)
-        if isinstance(formula, Eq):
-            a, b = self._values(team, (formula.left, formula.right))(row)
-            return a == b
-        if isinstance(formula, Neq):
-            a, b = self._values(team, (formula.left, formula.right))(row)
-            return a != b
-        if isinstance(formula, Rel):
-            return self._values(team, formula.terms)(row) in self._relation(formula.name)
-        if isinstance(formula, NegRel):
-            return self._values(team, formula.terms)(row) not in self._relation(formula.name)
-        raise EvaluationError("pointwise check on a non-pointwise formula")
+    def _or_strict(self, formula: Or, variables: tuple[str, ...]) -> Node:
+        for pointwise, other in ((formula.left, formula.right), (formula.right, formula.left)):
+            if is_pointwise(pointwise):
+                truth = Memo(row_test(self.structure, pointwise, variables))
+                rest = self.node(other, variables)
+                return lambda rows: rest(frozenset(filterfalse(truth.__getitem__, rows)))
+        left, right = self.node(formula.left, variables), self.node(formula.right, variables)
 
-    def _or_strict(self, team: Team, formula: Or) -> bool:
-        if is_pointwise(formula.left):
-            rest = [r for r in team.rows if not self._row_satisfies(team, r, formula.left)]
-            return self.check(self._subteam(team, rest), formula.right)
-        if is_pointwise(formula.right):
-            rest = [r for r in team.rows if not self._row_satisfies(team, r, formula.right)]
-            return self.check(self._subteam(team, rest), formula.left)
-        rows = sorted(team.rows)
-        count = len(rows)
-        for mask in range(1 << count):
-            left_team = self._subteam(team, (rows[i] for i in range(count) if mask >> i & 1))
-            right_team = self._subteam(team, (rows[i] for i in range(count) if not mask >> i & 1))
-            if self.check(left_team, formula.left) and self.check(right_team, formula.right):
-                return True
-        return False
+        def decide(rows: Rows) -> bool:
+            subsets = _subsets(sorted(rows))
+            full = len(subsets) - 1
+            for mask in range(full + 1):
+                if left(subsets[mask]) and right(subsets[full ^ mask]):
+                    return True
+            return False
 
-    def _exists_strict(self, team: Team, formula: Exists) -> bool:
-        dup = duplicate(self.structure, team, formula.variable)
-        if not team.rows:
-            return self.check(dup, formula.body)
-        rows = sorted(team.rows)
-        extension_lists = [self._extensions(team, formula.variable, row) for row in rows]
-        for choice in itertools.product(*extension_lists):
-            if self.check(Team(dup.variables, frozenset(choice)), formula.body):
-                return True
-        return False
+        return decide
+
+    def _exists_strict(self, formula: Exists, variables: tuple[str, ...]) -> Node:
+        extended, extensions = extension_memo(self.structure, variables, formula.variable)
+        body = self.node(formula.body, extended)
+
+        def decide(rows: Rows) -> bool:
+            if not rows:
+                return body(_EMPTY)
+            for choice in itertools.product(*map(extensions.__getitem__, sorted(rows))):
+                if body(frozenset(choice)):
+                    return True
+            return False
+
+        return decide
 
 
 def eval_team(

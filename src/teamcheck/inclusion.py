@@ -38,41 +38,11 @@ from itertools import chain, compress
 from typing import Callable, Iterable
 
 from .errors import EvaluationError
-from .evaluator import is_pointwise, require_in_domain
-from .formulas import (
-    And,
-    Eq,
-    Exists,
-    Forall,
-    Formula,
-    Inc,
-    Neq,
-    NegRel,
-    Or,
-    Rel,
-    Term,
-    Var,
-    atom_set,
-    free_vars,
-)
+from .evaluator import Memo, Rows, extension_memo, is_pointwise, require_in_domain, row_test, term_values
+from .formulas import And, Exists, Forall, Formula, Inc, Or, atom_set, free_vars
 from .model import Row, Structure, Team
 
-Rows = frozenset[Row]
 MaxSubteam = Callable[[Rows], Rows]
-
-
-class _Memo(dict):
-    """Per-row results computed on first lookup; ``memo.__getitem__`` maps rows in C."""
-
-    __slots__ = ("compute",)
-
-    def __init__(self, compute: Callable[[Row], object]):
-        super().__init__()
-        self.compute = compute
-
-    def __missing__(self, row: Row):
-        value = self[row] = self.compute(row)
-        return value
 
 
 def compile_max(structure: Structure, variables: Iterable[str], formula: Formula) -> MaxSubteam:
@@ -99,37 +69,6 @@ def compile_max(structure: Structure, variables: Iterable[str], formula: Formula
 class _Compiler:
     def __init__(self, structure: Structure):
         self.structure = structure
-        self.singletons = tuple((a,) for a in structure.elements)
-
-    # -- terms and symbols ----------------------------------------------------
-
-    def values(self, terms: tuple[Term, ...], variables: tuple[str, ...]) -> Callable[[Row], Row]:
-        """Row -> value tuple of the terms, resolved to column indices once."""
-        if all(isinstance(t, Var) for t in terms):
-            columns = [variables.index(t.name) for t in terms]
-            if len(columns) > 1:
-                return operator.itemgetter(*columns)
-            (column,) = columns
-            return lambda row: (row[column],)
-        plan = tuple(
-            (True, variables.index(t.name)) if isinstance(t, Var) else (False, self.constant(t.name))
-            for t in terms
-        )
-        return lambda row: tuple(row[i] if is_var else i for is_var, i in plan)
-
-    def constant(self, name: str) -> int:
-        try:
-            return self.structure.constants[name]
-        except KeyError:
-            raise EvaluationError(f"unknown constant {name!r}") from None
-
-    def relation(self, name: str) -> frozenset[Row]:
-        try:
-            return self.structure.relations[name]
-        except KeyError:
-            raise EvaluationError(f"unknown relation {name!r}") from None
-
-    # -- nodes ------------------------------------------------------------------
 
     def node(self, formula: Formula, variables: tuple[str, ...]) -> MaxSubteam:
         if is_pointwise(formula):
@@ -145,24 +84,8 @@ class _Compiler:
             return self.quantifier(formula, variables)
         raise EvaluationError(f"unexpected node {type(formula).__name__}")
 
-    def row_test(self, formula: Formula, variables: tuple[str, ...]) -> Callable[[Row], bool]:
-        if isinstance(formula, (Eq, Neq)):
-            get = self.values((formula.left, formula.right), variables)
-            compare = operator.eq if isinstance(formula, Eq) else operator.ne
-            return lambda row: compare(*get(row))
-        if isinstance(formula, (Rel, NegRel)):
-            relation = self.relation(formula.name)
-            get = self.values(formula.terms, variables)
-            if isinstance(formula, Rel):
-                return lambda row: get(row) in relation
-            return lambda row: get(row) not in relation
-        left, right = self.row_test(formula.left, variables), self.row_test(formula.right, variables)
-        if isinstance(formula, And):
-            return lambda row: left(row) and right(row)
-        return lambda row: left(row) or right(row)
-
     def pointwise(self, formula: Formula, variables: tuple[str, ...]) -> MaxSubteam:
-        truth = _Memo(self.row_test(formula, variables))
+        truth = Memo(row_test(self.structure, formula, variables))
 
         def run(rows: Rows) -> Rows:
             return frozenset(compress(rows, map(truth.__getitem__, rows)))
@@ -170,13 +93,9 @@ class _Compiler:
         return run
 
     def inclusion(self, formula: Inc, variables: tuple[str, ...]) -> MaxSubteam:
-        if all(isinstance(t, Var) for t in formula.left + formula.right):
-            # Both sides share one width, so a bare value may stand for a 1-tuple.
-            get_left = operator.itemgetter(*(variables.index(t.name) for t in formula.left))
-            get_right = operator.itemgetter(*(variables.index(t.name) for t in formula.right))
-        else:
-            get_left = self.values(formula.left, variables)
-            get_right = self.values(formula.right, variables)
+        # Both sides share one width, so bare values may stand for 1-tuples.
+        get_left = term_values(self.structure, formula.left, variables, bare=True)
+        get_right = term_values(self.structure, formula.right, variables, bare=True)
 
         def run(rows: Rows) -> Rows:
             while True:
@@ -201,12 +120,8 @@ class _Compiler:
         return run
 
     def quantifier(self, formula: Exists | Forall, variables: tuple[str, ...]) -> MaxSubteam:
-        extended = tuple(sorted(set(variables) | {formula.variable}))
-        at = extended.index(formula.variable)
-        after = at + 1 if formula.variable in variables else at
-        singletons = self.singletons
+        extended, extensions = extension_memo(self.structure, variables, formula.variable)
         body = self.node(formula.body, extended)
-        extensions = _Memo(lambda row: tuple(row[:at] + a + row[after:] for a in singletons))
 
         def surviving(rows: Rows) -> tuple[list[tuple[Row, ...]], Rows]:
             per_row = list(map(extensions.__getitem__, rows))

@@ -19,6 +19,7 @@ clique, which asks for a team of ``k*k - k`` ordered pairs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -157,6 +158,12 @@ INDSET_FORMULA = "forall y (N(x) & (!P(y) | !I(x,y) | dep(y;x)))"
 _GRAPH_VOCAB = Vocabulary(relations=(("E", 2),))
 
 
+@functools.lru_cache(maxsize=None)
+def _parsed(text: str, vocabulary: Vocabulary | None = None) -> Formula:
+    """``parse`` once per constant text and vocabulary; formulas are immutable, so shared."""
+    return parse(text, vocabulary)
+
+
 def graph_structure(graph: Graph) -> Structure:
     pairs = set()
     for u, v in graph.edges:
@@ -166,11 +173,11 @@ def graph_structure(graph: Graph) -> Structure:
 
 
 def _trivial_yes(structure: Structure) -> WtInstance:
-    return WtInstance(structure, parse("x=x"), 0)
+    return WtInstance(structure, _parsed("x=x"), 0)
 
 
 def _trivial_no(structure: Structure) -> WtInstance:
-    return WtInstance(structure, parse("x!=x"), 1)
+    return WtInstance(structure, _parsed("x!=x"), 1)
 
 
 def encode_clique(graph: Graph, k: int) -> WtInstance:
@@ -187,7 +194,7 @@ def encode_clique(graph: Graph, k: int) -> WtInstance:
         return _trivial_no(structure)
     if k == 1:
         return _trivial_yes(structure) if graph.vertex_count >= 1 else _trivial_no(structure)
-    formula = parse(CLIQUE_FORMULA, structure.vocabulary)
+    formula = _parsed(CLIQUE_FORMULA, structure.vocabulary)
     return WtInstance(structure, formula, k * k - k)
 
 
@@ -198,7 +205,7 @@ def encode_domset(graph: Graph, k: int) -> WtInstance:
         return _trivial_yes(structure) if graph.vertex_count == 0 else _trivial_no(structure)
     if k > graph.vertex_count:
         return _trivial_no(structure)
-    formula = parse(DOMSET_FORMULA, structure.vocabulary)
+    formula = _parsed(DOMSET_FORMULA, structure.vocabulary)
     return WtInstance(structure, formula, k)
 
 
@@ -229,7 +236,7 @@ def encode_indset(graph: Graph, k: int) -> WtInstance:
         return _trivial_yes(structure)
     if k > graph.vertex_count:
         return _trivial_no(structure)
-    formula = parse(INDSET_FORMULA, structure.vocabulary)
+    formula = _parsed(INDSET_FORMULA, structure.vocabulary)
     return WtInstance(structure, formula, k)
 
 

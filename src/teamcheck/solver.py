@@ -51,8 +51,9 @@ from .evaluator import (
     check_sentence,
     eval_fo_tarski,
     is_pointwise,
+    row_test,
 )
-from .formulas import And, Formula, FragmentReport, NegRel, Rel, classify, free_vars, subformulas
+from .formulas import And, Formula, FragmentReport, NegRel, Rel, and_all, classify, free_vars, subformulas
 from .inclusion import compile_max
 from .model import Row, Structure, Team, canonical_rows
 
@@ -197,14 +198,8 @@ def wt_solve(
     allowed_indices = list(range(len(rows)))
     literals = _top_level_literals(formula)
     if literals:
-        conjunction = literals[0]
-        for lit in literals[1:]:
-            conjunction = And(conjunction, lit)
-        allowed_indices = [
-            i
-            for i in allowed_indices
-            if eval_fo_tarski(structure, dict(zip(variables, rows[i])), conjunction)
-        ]
+        allowed = row_test(structure, and_all(literals), variables)
+        allowed_indices = [i for i in allowed_indices if allowed(rows[i])]
     if len(allowed_indices) < k:
         return None
 

@@ -1,12 +1,17 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
+from team_reference import satisfies
+from teamcheck.corpus import SplitMix64, random_formula, random_structure, random_team
 from teamcheck.errors import EvaluationError
-from teamcheck.evaluator import check_sentence, eval_fo_tarski, eval_team
-from teamcheck.formulas import parse
-from teamcheck.model import Structure, Team, Vocabulary
+from teamcheck.evaluator import _Evaluator, check_sentence, eval_fo_tarski, eval_team
+from teamcheck.formulas import atom_set, free_vars, parse, render
+from teamcheck.model import Structure, Team, Vocabulary, canonical_rows
 from teamcheck.reductions import Graph, encode_indset
+from teamcheck.verify import INCLUSION_TEMPLATES
 
 GRAPH_VOCAB = Vocabulary(relations=(("E", 2),))
 
@@ -312,3 +317,126 @@ class TestAgainstNaiveReference:
                 formula,
             )
             checked += 1
+
+
+class TestAgainstDefinitions:
+    """Cross-check against ``team_reference``, which works from the definitions.
+
+    The reference decides literals with ``eval_fo_tarski`` and enumerates
+    covers and supplementing functions plainly, so it shares no code with
+    the compiled evaluator's term resolver, row tests or searches.
+    """
+
+    @staticmethod
+    def assert_agrees(structure, team, formula):
+        rows = [dict(zip(team.variables, row)) for row in sorted(team.rows)]
+        case = (render(formula), structure.domain_size, structure.relations, sorted(team.rows))
+        assert eval_team(structure, team, formula) == satisfies(structure, rows, formula), case
+        if not atom_set(formula) & {"inc", "indep"}:
+            strict = eval_team(structure, team, formula, strict=True)
+            assert strict == satisfies(structure, rows, formula, strict=True), case
+
+    @pytest.mark.parametrize("fragment", ["FO(dep)", "FO(indep)", "FO(inc)"])
+    def test_random_formulas(self, fragment):
+        rng = SplitMix64(sum(map(ord, fragment)))
+        for case in range(150):
+            structure = random_structure(rng, 3)
+            formula = random_formula(rng, fragment, structure.domain_size, 4, budget=2e4)
+            # Every other team also binds u, which the formulas quantify, so
+            # those quantifiers overwrite a column instead of adding one.
+            variables = sorted(free_vars(formula) | {"x", "y"} | ({"u"} if case % 2 else set()))
+            self.assert_agrees(structure, random_team(rng, structure, variables, 4), formula)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "dep(;x)",
+            "dep(;x) | dep(;y)",
+            "dep(;x) | dep(;x) | dep(;x)",
+            "dep(;x) | (dep(x;y) & E(x,y))",
+            "inc(x;y) | inc(y;x)",
+            "exists x (dep(;x) & E(x,y))",
+            "forall x (dep(;y) & (E(x,y) | x!=y))",
+            "exists y (dep(x;y) & inc(y;x))",
+            "forall y exists x (E(x,y) | indep(;x;y))",
+        ],
+    )
+    def test_constant_atoms_and_quantifiers_over_team_variables(self, text):
+        # dep(;x) has no determinant columns; the quantifiers rebind x or y,
+        # which every team here already binds.  The inclusion disjunction
+        # needs an overlapping cover on some 3-row teams over 3 elements.
+        rng = SplitMix64(sum(map(ord, text)))
+        formula = parse(text)
+        for n in (2, 3):
+            structure = random_structure(rng, n, min_domain=n)
+            rows = canonical_rows(n, ["x", "y"])
+            for size in range(4):
+                for combo in itertools.combinations(rows, size):
+                    self.assert_agrees(structure, Team(("x", "y"), frozenset(combo)), formula)
+
+    @pytest.mark.parametrize(
+        "text", ["inc(x;c) | inc(y,c;c,x)", "dep(c;x) | dep(x,c;y)", "forall y indep(c;x;y)"]
+    )
+    def test_constants_in_team_atoms(self, text):
+        vocabulary = Vocabulary(relations=(("E", 2),), constants=("c",))
+        structure = Structure(vocabulary, 3, {"E": frozenset({(0, 1), (1, 1), (2, 0)})}, {"c": 1})
+        formula = parse(text, vocabulary)
+        rows = canonical_rows(3, ["x", "y"])
+        for size in range(4):
+            for combo in itertools.combinations(rows, size):
+                self.assert_agrees(structure, Team(("x", "y"), frozenset(combo)), formula)
+
+
+class TestCacheBound:
+    """``max_cache_entries`` bounds the memo entries; verdicts never depend on it."""
+
+    @staticmethod
+    def grid():
+        rng = SplitMix64(77)
+        for text, max_n in INCLUSION_TEMPLATES:
+            formula = parse(text)
+            variables = tuple(sorted(free_vars(formula)))
+            for n in range(1, min(2, max_n) + 1):
+                structure = random_structure(rng, n, min_domain=n)
+                rows = canonical_rows(n, variables)
+                for size in range(min(3, len(rows)) + 1):
+                    for combo in itertools.combinations(rows, size):
+                        yield structure, Team(variables, frozenset(combo)), formula
+
+    def test_bounds_zero_and_one_keep_the_verdicts(self):
+        for structure, team, formula in self.grid():
+            expected = eval_team(structure, team, formula)
+            for bound in (0, 1):
+                assert eval_team(structure, team, formula, max_cache_entries=bound) == expected, (
+                    render(formula), sorted(team.rows), bound,
+                )
+
+    def test_memo_entries_never_exceed_the_bound(self):
+        unbounded = 0
+        for structure, team, formula in self.grid():
+            for bound in (0, 1, 7):
+                evaluator = _Evaluator(structure, False, bound)
+                evaluator.check(team, formula)
+                assert sum(map(len, evaluator.memos)) <= bound
+            evaluator = _Evaluator(structure, False, 1 << 20)
+            evaluator.check(team, formula)
+            unbounded = max(unbounded, sum(map(len, evaluator.memos)))
+        assert unbounded > 7  # the small bounds did refuse inserts
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_evaluator_is_freed_without_the_cycle_collector(self, strict):
+        # No node refers back to its evaluator, so the memos go as soon as
+        # the evaluator does, not whenever the cycle collector next runs.
+        structure = graph_structure(2, [(0, 1), (1, 1)])
+        team = Team.make(["x", "y"], [(0, 0), (0, 1), (1, 0)])
+        formula = parse("forall v exists u (dep(;u) | (dep(x;y) & E(u,v)))")
+        gc.disable()
+        try:
+            evaluator = _Evaluator(structure, strict, 1 << 20)
+            evaluator.check(team, formula)
+            assert sum(map(len, evaluator.memos)) > 0
+            alive = weakref.ref(evaluator)
+            del evaluator
+            assert alive() is None
+        finally:
+            gc.enable()
