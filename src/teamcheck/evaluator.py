@@ -5,8 +5,8 @@ semantic clauses: a disjunction holds when some pair of subteams covering
 the team satisfies the disjuncts (overlap allowed), an existential
 quantifier when some row-wise choice of nonempty value sets produces a
 satisfying supplemented team.  Cost is exponential in team size by
-nature; polynomial paths exist separately for first-order formulas (Tarski
-evaluation) and inclusion formulas (the fixpoint in ``inclusion``).
+nature; polynomial paths exist separately for first-order formulas (one
+compiled ``row_test``) and inclusion formulas (the fixpoint in ``inclusion``).
 
 The evaluator compiles each (formula, variable order) pair once into a tree
 of nodes.  A node is a function from a bare ``frozenset`` of rows (value
@@ -212,29 +212,64 @@ def term_values(
     if bare and len(plan) == 1:
         ((_, value),) = plan  # a constant
         return lambda row: value
+    if len(plan) == 1 and plan[0][0]:
+        ((_, i),) = plan
+        return lambda row: (row[i],)
+    if len(plan) == 2 and not plan[0][0] and plan[1][0]:
+        ((_, value), (_, i)) = plan
+        return lambda row: (value, row[i])
     frozen = tuple(plan)
     return lambda row: tuple(row[i] if is_var else i for is_var, i in frozen)
 
 
-def row_test(structure: Structure, formula: Formula, variables: tuple[str, ...]) -> Callable[[Row], bool]:
-    """One row's truth for a pointwise formula (see ``is_pointwise``)."""
+def row_test(
+    structure: Structure, formula: Formula, variables: tuple[str, ...], free: tuple[str, list[Rows]] | None = None
+) -> Callable[[Row], bool]:
+    """One row's classical truth for a first-order formula; team atoms raise.
+
+    A quantifier appends a column for its variable.  Atoms of ``free[0]`` read
+    the cell ``free[1][0]`` at run time, so a caller rebinds it per candidate.
+    """
     if isinstance(formula, (Eq, Neq)):
         get = term_values(structure, (formula.left, formula.right), variables)
         compare = operator.eq if isinstance(formula, Eq) else operator.ne
         return lambda row: compare(*get(row))
     if isinstance(formula, (Rel, NegRel)):
         get = term_values(structure, formula.terms, variables)
+        if free is not None and formula.name == free[0]:
+            rel = free[1]  # a cell; reusing the name keeps row_test at its closure cells
+            if isinstance(formula, Rel):
+                return lambda row: get(row) in rel[0]
+            return lambda row: get(row) not in rel[0]
         rel = structure.relations.get(formula.name)
         if rel is None:
             raise EvaluationError(f"unknown relation {formula.name!r}")
         if isinstance(formula, Rel):
             return lambda row: get(row) in rel
         return lambda row: get(row) not in rel
-    left = row_test(structure, formula.left, variables)
-    right = row_test(structure, formula.right, variables)
-    if isinstance(formula, And):
-        return lambda row: left(row) and right(row)
-    return lambda row: left(row) or right(row)
+    if isinstance(formula, (And, Or)):
+        left = row_test(structure, formula.left, variables, free)
+        right = row_test(structure, formula.right, variables, free)
+        if isinstance(formula, And):
+            return lambda row: left(row) and right(row)
+        return lambda row: left(row) or right(row)
+    if not isinstance(formula, (Exists, Forall)):
+        raise EvaluationError(f"not a first-order formula: {type(formula).__name__} atom encountered")
+    # The new column hides a column the variable already had, by unnaming it.
+    scope = tuple("" if name == formula.variable else name for name in variables)
+    body = row_test(structure, formula.body, scope + (formula.variable,), free)
+    return _quantifier(body, tuple((a,) for a in structure.elements), isinstance(formula, Exists))
+
+
+def _quantifier(body: Callable[[Row], bool], singletons: tuple[Row, ...], found: bool) -> Callable[[Row], bool]:
+    # Kept out of row_test, whose every call would otherwise make these closure cells.
+    def quantifier(row: Row) -> bool:
+        for a in singletons:
+            if body(row + a) == found:  # the answer that stops the loop
+                return found
+        return not found
+
+    return quantifier
 
 
 def extension_memo(structure: Structure, variables: tuple[str, ...], variable: str) -> tuple[tuple[str, ...], Memo]:

@@ -194,10 +194,6 @@ def atom_set(formula: Formula) -> frozenset[str]:
     return frozenset(found)
 
 
-def is_first_order(formula: Formula) -> bool:
-    return not atom_set(formula)
-
-
 def is_quantifier_free(formula: Formula) -> bool:
     return all(not isinstance(sub, (Exists, Forall)) for sub in subformulas(formula))
 

@@ -14,17 +14,17 @@ the search tractable without changing verdicts or witnesses:
 * branches that cannot reach ``k`` rows are cut by counting.
 
 Per-candidate checks dispatch by fragment, and ``solve_path`` names the
-choice: first-order formulas are counted via Tarski evaluation, inclusion
-formulas use the polynomial fixpoint, dependence formulas the strict
-evaluator, everything else the generic lax evaluator.  ``fast_path="off"``
-forces the generic evaluator for every check (pruning then also uses it).
-The inclusion fixpoint is compiled once per search, on the first
-candidate (``inclusion.compile_max``), and each candidate's row set ``R``
-is then accepted when its maximal satisfying subset is ``R`` itself.
+choice: first-order formulas are counted by one compiled ``row_test``,
+inclusion formulas use the polynomial fixpoint, dependence formulas the
+strict evaluator, everything else the generic lax evaluator.
+``fast_path="off"`` forces the generic evaluator for every check (pruning
+then also uses it).  Checks compile once per search and take bare row sets;
+the inclusion fixpoint compiles on the first candidate and accepts a row set
+``R`` when its maximal satisfying subset is ``R`` itself.
 
 ``wd_solve`` looks for a size-``k`` interpretation of a free relation
 symbol that makes a sentence true, again in colex order.  The formula is
-validated once per search, not once per candidate.  The search is pruned by
+compiled once per search; candidates rebind its free symbol.  Pruning is by
 the symbol's polarity (formulas are in negation normal form):
 
 * if the symbol occurs only negatively, or not at all, the formula is
@@ -169,14 +169,8 @@ def wt_solve(
     rows = canonical_rows(structure.domain_size, variables)
 
     if path == "fo-counting":
-        satisfying = [
-            row
-            for row in rows
-            if eval_fo_tarski(structure, dict(zip(variables, row)), formula)
-        ]
-        if len(satisfying) < k:
-            return None
-        return Team(variables, frozenset(satisfying[:k]))
+        satisfying = list(itertools.islice(filter(row_test(structure, formula, variables), rows), k))
+        return Team(variables, frozenset(satisfying)) if len(satisfying) == k else None
 
     if path == "inclusion-fixpoint":
         compiled = None
@@ -191,9 +185,7 @@ def wt_solve(
 
     else:
         evaluator = _Evaluator(structure, strict=path == "strict", max_cache_entries=max_cache_entries)
-
-        def check(team_rows: Iterable[Row]) -> bool:
-            return evaluator.check(Team(variables, frozenset(team_rows)), formula)
+        check = evaluator.node(formula, variables)
 
     allowed_indices = list(range(len(rows)))
     literals = _top_level_literals(formula)
@@ -207,7 +199,7 @@ def wt_solve(
     if report.fragment in ("FO", "FO(dep)"):
         # downward closed: a failing partial team has no satisfying superset
         def extendable(partial: tuple[int, ...]) -> bool:
-            return check(rows[allowed_indices[i]] for i in partial)
+            return check(frozenset(rows[allowed_indices[i]] for i in partial))
 
     for combo in colex_subsets(len(allowed_indices), k, extendable):
         team_rows = frozenset(rows[allowed_indices[i]] for i in combo)
@@ -241,13 +233,9 @@ def wt_solve_fo(structure: Structure, formula: Formula, k: int) -> bool:
     if k < 0:
         raise ValueError("team size must be nonnegative")
     variables = tuple(sorted(report.free_variables))
-    count = 0
-    for row in canonical_rows(structure.domain_size, variables):
-        if eval_fo_tarski(structure, dict(zip(variables, row)), formula):
-            count += 1
-            if count >= k:
-                return True
-    return count >= k
+    rows = canonical_rows(structure.domain_size, variables)
+    satisfying = filter(row_test(structure, formula, variables), rows)
+    return sum(1 for _ in itertools.islice(satisfying, k)) == k
 
 
 def wt_solve_sentence(structure: Structure, formula: Formula, k: int) -> bool:
@@ -286,9 +274,9 @@ def wd_check(structure: Structure, wd: WdFormula, interpretation: Iterable[Row])
 def wd_solve(structure: Structure, wd: WdFormula, k: int) -> frozenset[Row] | None:
     """First size-k interpretation of the free symbol making the formula true.
 
-    The formula is validated once; candidates are built from the domain, so
-    they need no per-tuple checks.  Subtrees that the free symbol's polarity
-    rules out are pruned, which never changes the colex-first witness.
+    The formula is validated and compiled once; candidates come from the
+    domain, so they need no per-tuple checks.  Subtrees that the free symbol's
+    polarity rules out are pruned, which never changes the colex-first witness.
     """
     if k < 0:
         raise ValueError("solution size must be nonnegative")
@@ -296,11 +284,12 @@ def wd_solve(structure: Structure, wd: WdFormula, k: int) -> frozenset[Row] | No
     if k > len(universe):
         return None
     _validate_wd(structure, wd)
-    symbol, formula = wd.symbol, wd.formula
+    cell = [frozenset()]
+    test = row_test(structure, wd.formula, (), (wd.symbol, cell))
 
     def holds(indices: tuple[int, ...]) -> bool:
-        interpretation = frozenset(universe[i] for i in indices)
-        return eval_fo_tarski(structure, {}, formula, extra_relations={symbol: interpretation})
+        cell[0] = frozenset(universe[i] for i in indices)
+        return test(())
 
     polarities = set(wd.occurrences())
     extendable = None

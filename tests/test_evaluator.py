@@ -7,8 +7,8 @@ import pytest
 from team_reference import satisfies
 from teamcheck.corpus import SplitMix64, random_formula, random_structure, random_team
 from teamcheck.errors import EvaluationError
-from teamcheck.evaluator import _Evaluator, check_sentence, eval_fo_tarski, eval_team
-from teamcheck.formulas import atom_set, free_vars, parse, render
+from teamcheck.evaluator import _Evaluator, check_sentence, eval_fo_tarski, eval_team, row_test
+from teamcheck.formulas import Exists, Forall, atom_set, free_vars, parse, render, subformulas
 from teamcheck.model import Structure, Team, Vocabulary, canonical_rows
 from teamcheck.reductions import Graph, encode_indset
 from teamcheck.verify import INCLUSION_TEMPLATES
@@ -172,6 +172,103 @@ class TestTarski:
         for a in range(3):
             team = Team.make(["x"], [(a,)])
             assert eval_team(structure, team, formula) == eval_fo_tarski(structure, {"x": a}, formula)
+
+
+class TestRowTest:
+    """``row_test`` against ``eval_fo_tarski`` on every row.
+
+    Rows are aligned with the variable order; a quantifier appends a column,
+    so a quantified variable that the row already binds must hide that
+    column.  The free-symbol cell is read when the test runs, not when it
+    is compiled.
+    """
+
+    VOCABULARY = Vocabulary(relations=(("E", 2), ("U", 1), ("S", 1)), constants=("c",))
+
+    @classmethod
+    def structure(cls, n, rng):
+        base = random_structure(rng, n, min_domain=n)
+        vocabulary = Vocabulary(relations=(("E", 2), ("U", 1)), constants=("c",))
+        return Structure(vocabulary, n, dict(base.relations), {"c": rng.randrange(n)})
+
+    @staticmethod
+    def assert_agrees(structure, formula, variables, extra=None):
+        free = None if extra is None else ("S", [extra["S"]])
+        test = row_test(structure, formula, variables, free)
+        for row in canonical_rows(structure.domain_size, variables):
+            expected = eval_fo_tarski(structure, dict(zip(variables, row)), formula, extra_relations=extra)
+            assert test(row) == expected, (render(formula), variables, row, structure.relations)
+
+    def test_random_first_order_formulas(self):
+        rng = SplitMix64(2718)
+        quantified = 0
+        for case in range(300):
+            structure = random_structure(rng, 4)
+            formula = random_formula(rng, "FO", structure.domain_size, 1)
+            quantified += any(isinstance(sub, (Exists, Forall)) for sub in subformulas(formula))
+            # Every other row also binds u, which the formulas quantify.
+            variables = tuple(sorted(free_vars(formula) | {"x", "y"} | ({"u"} if case % 2 else set())))
+            self.assert_agrees(structure, formula, variables)
+        assert quantified > 150
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "exists x E(x,y)",
+            "forall x (E(x,y) | x=y)",
+            "forall u exists u U(u)",
+            "exists u (U(u) & forall u E(u,x)) | x=u",
+            "exists x exists y (E(x,y) & forall x E(y,x))",
+            "E(c,x)",
+            "E(x,c)",
+            "!E(c,c) & U(c)",
+            "c=x | x!=c",
+            "exists x (E(c,x) & !E(x,c))",
+            "forall y (E(y,c) | S(c) | !S(y))",
+        ],
+    )
+    def test_rebound_columns_and_constants(self, text):
+        rng = SplitMix64(sum(map(ord, text)))
+        formula = parse(text, self.VOCABULARY)
+        for n in (1, 2, 3):
+            structure = self.structure(n, rng)
+            for variables in (("u", "x", "y"), ("x", "y")):
+                if free_vars(formula) <= set(variables):
+                    self.assert_agrees(structure, formula, variables, {"S": frozenset({(n - 1,)})})
+
+    def test_cell_rebound_across_interpretations(self):
+        # One compiled test serves every interpretation of S; each answer
+        # must match a fresh Tarski evaluation with that interpretation.
+        rng = SplitMix64(31)
+        structure = self.structure(3, rng)
+        text = "forall u (!S(u) | exists v (E(u,v) & S(v)) | S(x)) & exists u (S(u) & U(x))"
+        formula = parse(text, self.VOCABULARY)
+        cell = [frozenset()]
+        test = row_test(structure, formula, ("x",), ("S", cell))
+        answers = set()
+        for size in range(4):
+            for interpretation in itertools.combinations([(0,), (1,), (2,)], size):
+                cell[0] = frozenset(interpretation)
+                for a in range(3):
+                    expected = eval_fo_tarski(
+                        structure, {"x": a}, formula, extra_relations={"S": frozenset(interpretation)}
+                    )
+                    assert test((a,)) == expected, (interpretation, a)
+                    answers.add(expected)
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("text", ["exists u dep(u;x)", "forall u (E(u,x) | inc(u;x))", "indep(;x;x)"])
+    def test_team_atoms_raise(self, text):
+        with pytest.raises(EvaluationError, match="not a first-order formula"):
+            row_test(graph_structure(2, []), parse(text), ("x",))
+
+    def test_unknown_symbols_raise_when_compiled(self):
+        # Tarski evaluation never reaches the right disjunct; the compile step does.
+        structure = graph_structure(2, [])
+        formula = parse("x=x | exists u F(u)")
+        assert eval_fo_tarski(structure, {"x": 0}, formula)
+        with pytest.raises(EvaluationError, match="unknown relation"):
+            row_test(structure, formula, ("x",))
 
 
 class TestCheckSentence:

@@ -9,6 +9,7 @@ from teamcheck.errors import EvaluationError
 from teamcheck.evaluator import eval_team
 from teamcheck.formulas import And, Eq, Exists, Forall, Neq, NegRel, Or, Rel, Var, free_vars, is_quantifier_free, parse
 from teamcheck.model import Structure, Team, Vocabulary, canonical_rows
+from teamcheck import solver
 from teamcheck.reductions import Graph, encode_clique, encode_domset, graph_brute
 from teamcheck.solver import (
     WdFormula,
@@ -195,6 +196,28 @@ class TestWeightedDefinability:
     def test_arity_mismatch_rejected(self):
         with pytest.raises(EvaluationError):
             wd_check(k3(), clique_wd_formula(), {(0, 1)})
+
+    @pytest.mark.parametrize("text", ["forall x (x=x | Q(x))", "forall x (x=x | E(x,c))"])
+    def test_unknown_symbols_raise_before_the_first_candidate(self, text, monkeypatch):
+        # The interpreter never reaches the right disjunct, so wd_check
+        # answers; wd_solve compiles the whole formula before it searches.
+        # k3() interprets neither Q nor the constant c.
+        vocabulary = Vocabulary(relations=(("E", 2), ("Q", 1)), constants=("c",))
+        wd = WdFormula(parse(text, vocabulary), arity=1)
+        assert wd_check(k3(), wd, set())
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(solver, "colex_subsets", no_search)
+        with pytest.raises(EvaluationError, match="unknown"):
+            wd_solve(k3(), wd, 1)
+
+    def test_oversized_k_returns_none_without_validating(self):
+        clashing = WdFormula(parse("forall x (E(x,x) | Q(x))"), symbol="E")
+        assert wd_solve(k3(), clashing, 4) is None
+        with pytest.raises(EvaluationError, match="clashes"):
+            wd_solve(k3(), clashing, 3)
 
     def test_matches_graph_oracle_on_small_graphs(self):
         from teamcheck.corpus import all_graphs
