@@ -7,7 +7,7 @@ cross-validate everything.
 """
 
 from .errors import EvaluationError, ParseError, TeamcheckError
-from .evaluator import check_sentence, eval_fo_tarski, eval_team
+from .evaluator import eval_fo_tarski, eval_team
 from .formulas import (
     And,
     Const,
@@ -64,14 +64,6 @@ from .reductions import (
     theta_formula,
     wsat_brute,
 )
-from .solver import (
-    WdFormula,
-    WtInstance,
-    wd_check,
-    wd_solve,
-    wt_solve,
-    wt_solve_fo,
-    wt_solve_sentence,
-)
+from .solver import WdFormula, WtInstance, check_sentence, wd_check, wd_solve, wt_solve
 
 __all__ = [name for name in dir() if not name.startswith("_")]

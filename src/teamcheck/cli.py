@@ -17,9 +17,8 @@ import sys
 import time
 
 from .errors import TeamcheckError
-from .evaluator import eval_team
+from .evaluator import require_in_domain
 from .formulas import classify, parse, render
-from .inclusion import eval_inclusion
 from .model import parse_structure, parse_team, render_structure
 from .prop import parse_prop
 from .reductions import (
@@ -29,7 +28,7 @@ from .reductions import (
     encode_wsat,
     parse_graph,
 )
-from .solver import WtInstance, solve_path, wt_solve
+from .solver import WtInstance, compile_check, solve_path, wt_solve
 from .verify import (
     run_circuit_suite,
     run_clique_experiment,
@@ -77,12 +76,9 @@ def cmd_check(args) -> int:
     missing = report.free_variables - team.domain()
     if missing:
         raise TeamcheckError(f"team misses free variables {sorted(missing)}")
-    if args.fast_path == "auto" and report.fragment == "FO(inc)":
-        satisfied = eval_inclusion(structure, team, formula)
-        path = "inclusion-fixpoint"
-    else:
-        satisfied = eval_team(structure, team, formula, max_cache_entries=args.max_cache)
-        path = "generic"
+    require_in_domain(structure, team)
+    path = solve_path(report, args.fast_path)
+    satisfied = compile_check(structure, formula, team.variables, path, args.max_cache)(team.rows)
     if args.json:
         print(json.dumps({
             "verdict": "SAT" if satisfied else "UNSAT",
@@ -101,7 +97,8 @@ def cmd_solve(args) -> int:
     formula = parse(_formula_text(args), structure.vocabulary)
     report = classify(formula)
     instance = WtInstance(structure, formula, args.k)
-    path = solve_path(report, args.fast_path)
+    # a sentence's teams are the empty team and {()}; the label says so
+    path = solve_path(report, args.fast_path) if report.free_variables else "sentence"
     witness = wt_solve(instance, fast_path=args.fast_path, max_cache_entries=args.max_cache)
     if args.json:
         payload = {

@@ -17,25 +17,27 @@ on the formula:
 * structurally equal subformulas over the same variables share one node;
 * every term is resolved to a column index or a constant (``term_values``);
 * each quantifier fixes its extended variable order and insertion position
-  (``extension_memo``);
-* a quantifier-free first-order subformula becomes one row test
-  (``row_test``), applied row by row because such formulas are flat;
+  (``model.extension_memo``);
+* a first-order subformula, quantified or not, becomes one row test
+  (``row_test``), applied row by row because first-order formulas are flat;
 * unknown relations and constants raise ``EvaluationError``.
 
-Every node other than a row test keeps its own memo keyed by the row set,
-whose hash CPython caches, so repeated subteams are decided once.
+A row set can recur only where a disjunction searches its covers or
+splits, or where distinct teams peel off to the same rest, so only the
+operands of a disjunction keep a memo keyed by the row set (one per
+interned operand, shared by every parent; its hash CPython caches).
 ``max_cache_entries`` bounds the total number of those entries per
 evaluator; inserts are refused once it is reached.  Row tests and
 extensions are memoised per row instead, one entry per distinct row.
-``term_values``, ``row_test``, ``extension_memo`` and ``Memo`` are shared
-with the compile step of the inclusion fixpoint.
+``term_values`` and ``row_test`` are shared with the compile step of the
+inclusion fixpoint.
 
 Strict mode replaces covers by disjoint splits and value sets by single
 values.  That reading is equivalent to the lax one only on the
 downward-closed fragment (no inclusion or independence atoms), which strict
 mode enforces; there it also licenses two shortcuts used heavily by the
-solver: rows satisfying a quantifier-free first-order disjunct can be
-peeled off pointwise, and everything else must then satisfy the remaining
+solver: rows satisfying a first-order disjunct can be peeled off
+pointwise, and everything else must then satisfy the remaining
 disjunct.
 """
 
@@ -65,10 +67,10 @@ from .formulas import (
     Term,
     Var,
     atom_set,
-    classify,
     free_vars,
+    is_first_order,
 )
-from .model import Row, Structure, Team
+from .model import Memo, Row, Structure, Team, extension_memo
 
 DEFAULT_CACHE_ENTRIES = 1 << 20
 
@@ -157,28 +159,7 @@ def require_in_domain(structure: Structure, team: Team) -> None:
         )
 
 
-def is_pointwise(formula: Formula) -> bool:
-    """Quantifier-free and first-order, hence decidable row by row."""
-    if isinstance(formula, (And, Or)):
-        return is_pointwise(formula.left) and is_pointwise(formula.right)
-    return isinstance(formula, (Eq, Neq, Rel, NegRel))
-
-
 # -- compile-step primitives, shared with ``inclusion.compile_max`` ------------
-
-
-class Memo(dict):
-    """Per-row results computed on first lookup; ``memo.__getitem__`` maps rows in C."""
-
-    __slots__ = ("compute",)
-
-    def __init__(self, compute: Callable[[Row], object]):
-        super().__init__()
-        self.compute = compute
-
-    def __missing__(self, row: Row):
-        value = self[row] = self.compute(row)
-        return value
 
 
 def term_values(
@@ -272,19 +253,6 @@ def _quantifier(body: Callable[[Row], bool], singletons: tuple[Row, ...], found:
     return quantifier
 
 
-def extension_memo(structure: Structure, variables: tuple[str, ...], variable: str) -> tuple[tuple[str, ...], Memo]:
-    """The variable order after extending by ``variable``, and per-row extensions.
-
-    An extension memo maps a row to its extensions by every element, in
-    element order; an existing ``variable`` column is overwritten.
-    """
-    extended = tuple(sorted(set(variables) | {variable}))
-    at = extended.index(variable)
-    after = at + 1 if variable in variables else at
-    singletons = tuple((a,) for a in structure.elements)
-    return extended, Memo(lambda row: tuple(row[:at] + a + row[after:] for a in singletons))
-
-
 def _subsets(rows: list[Row]) -> list[Rows]:
     """Every subset of ``rows``; bit i of the index selects ``rows[i]``."""
     subsets = [_EMPTY]
@@ -328,8 +296,9 @@ class _Evaluator:
         # Memo inserts left, in a cell that the nodes share.  No node refers
         # to the evaluator, so refcounting frees it and its memos at once.
         self.room = [max_cache_entries]
-        self.memos: list[dict[Rows, bool]] = []  # every node's memo
+        self.memos: list[dict[Rows, bool]] = []  # every operand's memo
         self.nodes: dict[tuple[Formula, tuple[str, ...]], Node] = {}
+        self.operands: dict[Node, Node] = {}  # interned node -> its memoised form
 
     def check(self, team: Team, formula: Formula) -> bool:
         return self.node(formula, team.variables)(team.rows)
@@ -340,6 +309,19 @@ class _Evaluator:
         if node is None:
             node = self.nodes[key] = self._compile(formula, variables)
         return node
+
+    def operand(self, formula: Formula, variables: tuple[str, ...]) -> Node:
+        """A disjunct's node, memoised by row set and shared by every parent.
+
+        Cover and split searches ask a disjunct about many subsets, and
+        teams that peel off to the same rest ask about that rest, so a row
+        set recurs only here.  Row tests memoise per row already.
+        """
+        node = self.node(formula, variables)
+        operand = self.operands.get(node)
+        if operand is None:
+            operand = self.operands[node] = node if is_first_order(formula) else self._memoised(node)
+        return operand
 
     def _memoised(self, decide: Node) -> Node:
         memo: dict[Rows, bool] = {}
@@ -360,29 +342,27 @@ class _Evaluator:
     # -- compile dispatch ---------------------------------------------------
 
     def _compile(self, formula: Formula, variables: tuple[str, ...]) -> Node:
-        if is_pointwise(formula):
+        if is_first_order(formula):
             truth = Memo(row_test(self.structure, formula, variables))
             return lambda rows: all(map(truth.__getitem__, rows))
         if isinstance(formula, Dep):
-            decide = self._dep(formula, variables)
-        elif isinstance(formula, Inc):
-            decide = self._inc(formula, variables)
-        elif isinstance(formula, Indep):
-            decide = self._indep(formula, variables)
-        elif isinstance(formula, And):
+            return self._dep(formula, variables)
+        if isinstance(formula, Inc):
+            return self._inc(formula, variables)
+        if isinstance(formula, Indep):
+            return self._indep(formula, variables)
+        if isinstance(formula, And):
             left, right = self.node(formula.left, variables), self.node(formula.right, variables)
-            decide = lambda rows: left(rows) and right(rows)
-        elif isinstance(formula, Or):
-            decide = (self._or_strict if self.strict else self._or_lax)(formula, variables)
-        elif isinstance(formula, Exists):
-            decide = (self._exists_strict if self.strict else self._exists_lax)(formula, variables)
-        elif isinstance(formula, Forall):
+            return lambda rows: left(rows) and right(rows)
+        if isinstance(formula, Or):
+            return (self._or_strict if self.strict else self._or_lax)(formula, variables)
+        if isinstance(formula, Exists):
+            return (self._exists_strict if self.strict else self._exists_lax)(formula, variables)
+        if isinstance(formula, Forall):
             extended, extensions = extension_memo(self.structure, variables, formula.variable)
             body = self.node(formula.body, extended)
-            decide = lambda rows: body(frozenset(chain.from_iterable(map(extensions.__getitem__, rows))))
-        else:
-            raise EvaluationError(f"not a formula: {formula!r}")
-        return self._memoised(decide)
+            return lambda rows: body(frozenset(chain.from_iterable(map(extensions.__getitem__, rows))))
+        raise EvaluationError(f"not a formula: {formula!r}")
 
     def _dep(self, formula: Dep, variables: tuple[str, ...]) -> Node:
         get_det = term_values(self.structure, formula.determinants, variables, bare=True)
@@ -419,7 +399,7 @@ class _Evaluator:
     # -- lax disjunction: search for a cover ------------------------------
 
     def _or_lax(self, formula: Or, variables: tuple[str, ...]) -> Node:
-        left, right = self.node(formula.left, variables), self.node(formula.right, variables)
+        left, right = self.operand(formula.left, variables), self.operand(formula.right, variables)
 
         def decide(rows: Rows) -> bool:
             if left(rows) and right(rows):
@@ -479,12 +459,12 @@ class _Evaluator:
     # -- strict clauses -----------------------------------------------------
 
     def _or_strict(self, formula: Or, variables: tuple[str, ...]) -> Node:
-        for pointwise, other in ((formula.left, formula.right), (formula.right, formula.left)):
-            if is_pointwise(pointwise):
-                truth = Memo(row_test(self.structure, pointwise, variables))
-                rest = self.node(other, variables)
+        for first_order, other in ((formula.left, formula.right), (formula.right, formula.left)):
+            if is_first_order(first_order):
+                truth = Memo(row_test(self.structure, first_order, variables))
+                rest = self.operand(other, variables)
                 return lambda rows: rest(frozenset(filterfalse(truth.__getitem__, rows)))
-        left, right = self.node(formula.left, variables), self.node(formula.right, variables)
+        left, right = self.operand(formula.left, variables), self.operand(formula.right, variables)
 
         def decide(rows: Rows) -> bool:
             subsets = _subsets(sorted(rows))
@@ -537,19 +517,3 @@ def eval_team(
             )
     return _Evaluator(structure, strict, max_cache_entries).check(team, formula)
 
-
-def check_sentence(structure: Structure, formula: Formula, *, max_cache_entries: int = DEFAULT_CACHE_ENTRIES) -> bool:
-    """Truth of a sentence, evaluated over the one-row team with empty domain.
-
-    Inclusion-logic sentences go through the polynomial fixpoint path;
-    everything else uses the generic evaluator.
-    """
-    if free_vars(formula):
-        raise EvaluationError("check_sentence expects a sentence without free variables")
-    report = classify(formula)
-    team = Team.singleton_empty_assignment()
-    if report.fragment == "FO(inc)":
-        from .inclusion import eval_inclusion
-
-        return eval_inclusion(structure, team, formula)
-    return eval_team(structure, team, formula, max_cache_entries=max_cache_entries)

@@ -198,6 +198,15 @@ def is_quantifier_free(formula: Formula) -> bool:
     return all(not isinstance(sub, (Exists, Forall)) for sub in subformulas(formula))
 
 
+def is_first_order(formula: Formula) -> bool:
+    """Free of team atoms, hence flat: a team satisfies it exactly when every row does."""
+    if isinstance(formula, (And, Or)):
+        return is_first_order(formula.left) and is_first_order(formula.right)
+    if isinstance(formula, (Exists, Forall)):
+        return is_first_order(formula.body)
+    return isinstance(formula, (Eq, Neq, Rel, NegRel))
+
+
 @dataclass(frozen=True)
 class PrenexPrefix:
     """Quantifier-block summary of a prenex formula.

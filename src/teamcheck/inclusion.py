@@ -15,8 +15,8 @@ does not change between calls (literal truth, quantifier extensions), so a
 search that checks many candidate teams compiles once and pays for each
 distinct row once:
 
-* a quantifier-free first-order subformula keeps the rows satisfying it
-  pointwise;
+* a first-order subformula, quantified or not, keeps the rows that satisfy
+  its one compiled ``row_test``;
 * an inclusion atom repeatedly deletes rows whose left value is missing
   from the surviving right values;
 * a disjunction takes the union of its operands' maximal subteams;
@@ -38,9 +38,9 @@ from itertools import chain, compress
 from typing import Callable, Iterable
 
 from .errors import EvaluationError
-from .evaluator import Memo, Rows, extension_memo, is_pointwise, require_in_domain, row_test, term_values
-from .formulas import And, Exists, Forall, Formula, Inc, Or, atom_set, free_vars
-from .model import Row, Structure, Team
+from .evaluator import Rows, require_in_domain, row_test, term_values
+from .formulas import And, Exists, Forall, Formula, Inc, Or, atom_set, free_vars, is_first_order
+from .model import Memo, Row, Structure, Team, extension_memo
 
 MaxSubteam = Callable[[Rows], Rows]
 
@@ -71,8 +71,8 @@ class _Compiler:
         self.structure = structure
 
     def node(self, formula: Formula, variables: tuple[str, ...]) -> MaxSubteam:
-        if is_pointwise(formula):
-            return self.pointwise(formula, variables)
+        if is_first_order(formula):
+            return self.first_order(formula, variables)
         if isinstance(formula, Inc):
             return self.inclusion(formula, variables)
         if isinstance(formula, Or):
@@ -84,7 +84,7 @@ class _Compiler:
             return self.quantifier(formula, variables)
         raise EvaluationError(f"unexpected node {type(formula).__name__}")
 
-    def pointwise(self, formula: Formula, variables: tuple[str, ...]) -> MaxSubteam:
+    def first_order(self, formula: Formula, variables: tuple[str, ...]) -> MaxSubteam:
         truth = Memo(row_test(self.structure, formula, variables))
 
         def run(rows: Rows) -> Rows:

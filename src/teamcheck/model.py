@@ -8,7 +8,10 @@ order, so row sets hash and compare cheaply and team equality is exactly
 row-set equality.
 
 All values here are immutable after construction and every operation is
-pure, so they are safe to share between concurrent workers.
+pure, so they are safe to share between concurrent workers.  The one
+mutable type is ``Memo``, a per-row cache.  ``extension_memo`` keeps a
+row's extensions by a variable in one; it is the row-extension primitive
+behind ``duplicate``, ``supplement`` and both compiled team evaluators.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ParseError
 
@@ -148,6 +151,33 @@ class Team:
             yield dict(zip(self.variables, row))
 
 
+class Memo(dict):
+    """Per-row results computed on first lookup; ``memo.__getitem__`` maps rows in C."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable[[Row], object]):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, row: Row):
+        value = self[row] = self.compute(row)
+        return value
+
+
+def extension_memo(structure: Structure, variables: tuple[str, ...], variable: str) -> tuple[tuple[str, ...], Memo]:
+    """The variable order after extending by ``variable``, and per-row extensions.
+
+    An extension memo maps a row to its extensions by every element, in
+    element order; an existing ``variable`` column is overwritten.
+    """
+    extended = tuple(sorted(set(variables) | {variable}))
+    at = extended.index(variable)
+    after = at + 1 if variable in variables else at
+    singletons = tuple((a,) for a in structure.elements)
+    return extended, Memo(lambda row: tuple(row[:at] + a + row[after:] for a in singletons))
+
+
 def duplicate(structure: Structure, team: Team, variable: str) -> Team:
     """Extend (or overwrite) ``variable`` with every element, per row.
 
@@ -155,18 +185,8 @@ def duplicate(structure: Structure, team: Team, variable: str) -> Team:
     empty.  With a fresh variable and a nonempty team the result has
     exactly ``len(team) * n`` rows.
     """
-    new_vars = tuple(sorted(set(team.variables) | {variable}))
-    insert_at = new_vars.index(variable)
-    overwrite = variable in team.variables
-    rows: set[Row] = set()
-    for row in team.rows:
-        if overwrite:
-            for a in structure.elements:
-                rows.add(row[:insert_at] + (a,) + row[insert_at + 1:])
-        else:
-            for a in structure.elements:
-                rows.add(row[:insert_at] + (a,) + row[insert_at:])
-    return Team(new_vars, frozenset(rows))
+    extended, extensions = extension_memo(structure, team.variables, variable)
+    return Team(extended, frozenset(itertools.chain.from_iterable(map(extensions.__getitem__, team.rows))))
 
 
 def supplement(
@@ -182,9 +202,7 @@ def supplement(
     nonempty subset of the domain.  The constant full-domain choice
     coincides with :func:`duplicate`.
     """
-    new_vars = tuple(sorted(set(team.variables) | {variable}))
-    insert_at = new_vars.index(variable)
-    overwrite = variable in team.variables
+    extended, extensions = extension_memo(structure, team.variables, variable)
     rows: set[Row] = set()
     for row in team.rows:
         if row not in values:
@@ -195,11 +213,9 @@ def supplement(
         for a in chosen:
             if not (0 <= a < structure.domain_size):
                 raise ValueError(f"value {a} outside the domain")
-            if overwrite:
-                rows.add(row[:insert_at] + (a,) + row[insert_at + 1:])
-            else:
-                rows.add(row[:insert_at] + (a,) + row[insert_at:])
-    return Team(new_vars, frozenset(rows))
+        # extensions come in element order, so element a sits at index a
+        rows.update(map(extensions[row].__getitem__, chosen))
+    return Team(extended, frozenset(rows))
 
 
 def restrict(team: Team, variables: Iterable[str]) -> Team:

@@ -6,21 +6,25 @@ order over assignment indices (assignments ordered as ``all_assignments``
 yields them), so witnesses are reproducible.  Three exact refinements keep
 the search tractable without changing verdicts or witnesses:
 
-* rows failing a top-level literal conjunct are excluded up front — every
-  row of a satisfying team must satisfy such literals pointwise;
+* rows failing a top-level first-order conjunct are excluded up front —
+  first-order formulas are flat, so every row of a satisfying team must
+  satisfy them (a first-order formula is thus settled by counting rows);
 * on downward-closed fragments (no inclusion/independence atoms), partial
   teams that already fail can be pruned, since supersets of failing teams
   fail too;
 * branches that cannot reach ``k`` rows are cut by counting.
 
-Per-candidate checks dispatch by fragment, and ``solve_path`` names the
-choice: first-order formulas are counted by one compiled ``row_test``,
-inclusion formulas use the polynomial fixpoint, dependence formulas the
-strict evaluator, everything else the generic lax evaluator.
+``solve_path`` is the one table from fragment to check: first-order
+formulas are decided by one compiled ``row_test`` per row, inclusion
+formulas by the polynomial fixpoint, dependence formulas by the strict
+evaluator, everything else by the generic lax evaluator.
 ``fast_path="off"`` forces the generic evaluator for every check (pruning
-then also uses it).  Checks compile once per search and take bare row sets;
-the inclusion fixpoint compiles on the first candidate and accepts a row set
-``R`` when its maximal satisfying subset is ``R`` itself.
+then also uses it; it still decides first-order subformulas row by row).
+``compile_check`` builds the chosen check once, as a function of a bare row
+set; the fixpoint accepts a row set ``R`` when its maximal satisfying
+subset is ``R`` itself.  ``wt_solve`` builds it once per search, after the
+counting cut; a sentence is searched like any formula, over the one row
+``()``.  ``check_sentence`` and ``teamcheck check`` run the same check.
 
 ``wd_solve`` looks for a size-``k`` interpretation of a free relation
 symbol that makes a sentence true, again in colex order.  The formula is
@@ -45,15 +49,19 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .errors import EvaluationError
-from .evaluator import (
-    DEFAULT_CACHE_ENTRIES,
-    _Evaluator,
-    check_sentence,
-    eval_fo_tarski,
-    is_pointwise,
-    row_test,
+from .evaluator import DEFAULT_CACHE_ENTRIES, Rows, _Evaluator, eval_fo_tarski, row_test
+from .formulas import (
+    And,
+    Formula,
+    FragmentReport,
+    NegRel,
+    Rel,
+    and_all,
+    classify,
+    free_vars,
+    is_first_order,
+    subformulas,
 )
-from .formulas import And, Formula, FragmentReport, NegRel, Rel, and_all, classify, free_vars, subformulas
 from .inclusion import compile_max
 from .model import Row, Structure, Team, canonical_rows
 
@@ -90,10 +98,10 @@ class WdFormula:
         return tuple(out)
 
 
-def _top_level_literals(formula: Formula) -> list[Formula]:
+def _first_order_conjuncts(formula: Formula) -> list[Formula]:
     if isinstance(formula, And):
-        return _top_level_literals(formula.left) + _top_level_literals(formula.right)
-    if is_pointwise(formula) and not isinstance(formula, And):
+        return _first_order_conjuncts(formula.left) + _first_order_conjuncts(formula.right)
+    if is_first_order(formula):
         return [formula]
     return []
 
@@ -125,22 +133,47 @@ def colex_subsets(
 
 
 def solve_path(report: FragmentReport, fast_path: str = "auto") -> str:
-    """The check ``wt_solve`` runs for a classified formula.
+    """The check that decides teams of a classified formula, sentences included.
 
-    ``sentence`` for formulas without free variables, ``generic`` (the lax
-    evaluator) whenever ``fast_path`` is ``"off"``, and otherwise by
-    fragment: ``fo-counting`` for FO, ``inclusion-fixpoint`` for FO(inc),
-    ``strict`` for FO(dep), ``generic`` for the rest.
+    ``generic`` (the lax evaluator) whenever ``fast_path`` is ``"off"``, and
+    otherwise by fragment: ``fo-counting`` (one row test per row) for FO,
+    ``inclusion-fixpoint`` for FO(inc), ``strict`` for FO(dep), ``generic``
+    for the rest.
     """
     if fast_path not in ("auto", "off"):
         raise ValueError("fast_path must be 'auto' or 'off'")
-    if not report.free_variables:
-        return "sentence"
     if fast_path == "off":
         return "generic"
     return {"FO": "fo-counting", "FO(inc)": "inclusion-fixpoint", "FO(dep)": "strict"}.get(
         report.fragment, "generic"
     )
+
+
+def compile_check(
+    structure: Structure,
+    formula: Formula,
+    variables: tuple[str, ...],
+    path: str,
+    max_cache_entries: int = DEFAULT_CACHE_ENTRIES,
+) -> Callable[[Rows], bool]:
+    """Row set over the sorted ``variables`` -> does it satisfy ``formula``, by ``path``'s check.
+
+    Compiled once.  Callers check that ``variables`` hold the free variables
+    and that every value is an element of the structure.
+    """
+    if path == "inclusion-fixpoint":
+        maximal = compile_max(structure, variables, formula)
+        return lambda rows: maximal(rows) == rows
+    # either evaluator compiles a first-order formula to one row test per row
+    return _Evaluator(structure, path == "strict", max_cache_entries).node(formula, variables)
+
+
+def check_sentence(structure: Structure, formula: Formula, *, max_cache_entries: int = DEFAULT_CACHE_ENTRIES) -> bool:
+    """Truth of a sentence: whether the one-row team ``{()}`` satisfies it."""
+    if free_vars(formula):
+        raise EvaluationError("check_sentence expects a sentence without free variables")
+    path = solve_path(classify(formula))
+    return compile_check(structure, formula, (), path, max_cache_entries)(frozenset({()}))
 
 
 def wt_solve(
@@ -154,49 +187,26 @@ def wt_solve(
     ``k = 0`` always yields the empty team (every formula holds on it).
     For sentences only ``k <= 1`` can succeed.
     """
-    if fast_path not in ("auto", "off"):
-        raise ValueError("fast_path must be 'auto' or 'off'")
     structure, formula, k = instance.structure, instance.formula, instance.k
     variables = tuple(sorted(free_vars(formula)))
-    if k == 0:
-        return Team.empty(variables)
     report = classify(formula)
     path = solve_path(report, fast_path)
-    if path == "sentence":
-        if k == 1 and _sentence_holds(structure, formula, fast_path, max_cache_entries):
-            return Team.singleton_empty_assignment()
-        return None
+    if k == 0:
+        return Team.empty(variables)
     rows = canonical_rows(structure.domain_size, variables)
 
-    if path == "fo-counting":
-        satisfying = list(itertools.islice(filter(row_test(structure, formula, variables), rows), k))
-        return Team(variables, frozenset(satisfying)) if len(satisfying) == k else None
-
-    if path == "inclusion-fixpoint":
-        compiled = None
-
-        def check(team_rows: frozenset[Row]) -> bool:
-            # compiled on the first candidate: searches settled by counting
-            # rows never pay for it
-            nonlocal compiled
-            if compiled is None:
-                compiled = compile_max(structure, variables, formula)
-            return compiled(team_rows) == team_rows
-
-    else:
-        evaluator = _Evaluator(structure, strict=path == "strict", max_cache_entries=max_cache_entries)
-        check = evaluator.node(formula, variables)
-
     allowed_indices = list(range(len(rows)))
-    literals = _top_level_literals(formula)
-    if literals:
-        allowed = row_test(structure, and_all(literals), variables)
+    conjuncts = _first_order_conjuncts(formula)
+    if conjuncts:
+        allowed = row_test(structure, and_all(conjuncts), variables)
         allowed_indices = [i for i in allowed_indices if allowed(rows[i])]
     if len(allowed_indices) < k:
         return None
+    # compiled only now: searches settled by counting rows never pay for it
+    check = compile_check(structure, formula, variables, path, max_cache_entries)
 
     extendable = None
-    if report.fragment in ("FO", "FO(dep)"):
+    if not report.atoms & {"inc", "indep"}:
         # downward closed: a failing partial team has no satisfying superset
         def extendable(partial: tuple[int, ...]) -> bool:
             return check(frozenset(rows[allowed_indices[i]] for i in partial))
@@ -206,49 +216,6 @@ def wt_solve(
         if check(team_rows):
             return Team(variables, team_rows)
     return None
-
-
-def _sentence_holds(structure: Structure, formula: Formula, fast_path: str, max_cache_entries: int) -> bool:
-    if fast_path == "off":
-        from .evaluator import eval_team
-
-        return eval_team(
-            structure,
-            Team.singleton_empty_assignment(),
-            formula,
-            max_cache_entries=max_cache_entries,
-        )
-    return check_sentence(structure, formula, max_cache_entries=max_cache_entries)
-
-
-def wt_solve_fo(structure: Structure, formula: Formula, k: int) -> bool:
-    """Decide the weighted question for first-order formulas by counting.
-
-    First-order satisfaction is flat, so a size-k team exists exactly when
-    at least k assignments satisfy the formula.
-    """
-    report = classify(formula)
-    if report.fragment != "FO":
-        raise EvaluationError("the counting path applies to first-order formulas only")
-    if k < 0:
-        raise ValueError("team size must be nonnegative")
-    variables = tuple(sorted(report.free_variables))
-    rows = canonical_rows(structure.domain_size, variables)
-    satisfying = filter(row_test(structure, formula, variables), rows)
-    return sum(1 for _ in itertools.islice(satisfying, k)) == k
-
-
-def wt_solve_sentence(structure: Structure, formula: Formula, k: int) -> bool:
-    """Weighted question for sentences: only the teams of size 0 and 1 exist."""
-    if free_vars(formula):
-        raise EvaluationError("expected a sentence without free variables")
-    if k < 0:
-        raise ValueError("team size must be nonnegative")
-    if k == 0:
-        return True
-    if k == 1:
-        return check_sentence(structure, formula)
-    return False
 
 
 def _validate_wd(structure: Structure, wd: WdFormula) -> None:

@@ -26,7 +26,7 @@ from .corpus import (
     random_structure,
     random_team,
 )
-from .evaluator import check_sentence, eval_fo_tarski, eval_team
+from .evaluator import eval_fo_tarski, eval_team
 from .formulas import free_vars, parse
 from .inclusion import eval_inclusion, max_subteam
 from .model import Team, canonical_rows, restrict
@@ -45,7 +45,7 @@ from .reductions import (
     theta_formula,
     wsat_brute,
 )
-from .solver import WdFormula, WtInstance, wd_solve, wt_solve, wt_solve_fo, wt_solve_sentence
+from .solver import WdFormula, WtInstance, check_sentence, wd_solve, wt_solve
 
 
 @dataclass(frozen=True)
@@ -525,7 +525,10 @@ def run_circuit_suite(seed: int, circuits: int = 500, max_gates: int = 6, jobs: 
 # --- sentence and first-order fast-path suites -----------------------------------
 
 def run_sentence_suite(seed: int, per_fragment: int = 100, max_domain: int = 4) -> Report:
-    """Weighted solving of sentences: k=0 holds, k=1 matches truth, k>=2 never."""
+    """Weighted solving of sentences: k=0 holds, k=1 matches truth, k>=2 never.
+
+    Truth is the generic evaluator's verdict on the one-row team.
+    """
     rng = SplitMix64(seed)
     cases = []
     index = 0
@@ -533,17 +536,11 @@ def run_sentence_suite(seed: int, per_fragment: int = 100, max_domain: int = 4) 
         for _ in range(per_fragment):
             structure = random_structure(rng, max_domain)
             sentence = random_sentence(rng, fragment, structure.domain_size)
-            problems = []
-            truth = check_sentence(structure, sentence)
-            if not wt_solve_sentence(structure, sentence, 0):
-                problems.append("k=0 rejected")
-            if wt_solve_sentence(structure, sentence, 1) != truth:
-                problems.append("k=1 mismatch")
-            if wt_solve_sentence(structure, sentence, 2) or wt_solve_sentence(structure, sentence, 3):
-                problems.append("k>=2 accepted")
-            witness = wt_solve(WtInstance(structure, sentence, 1))
-            if (witness is not None) != truth:
-                problems.append("generic solver disagrees at k=1")
+            truth = eval_team(structure, Team.singleton_empty_assignment(), sentence)
+            problems = [] if check_sentence(structure, sentence) == truth else ["check_sentence mismatch"]
+            for k, expected in ((0, True), (1, truth), (2, False), (3, False)):
+                if (wt_solve(WtInstance(structure, sentence, k)) is not None) != expected:
+                    problems.append(f"k={k} mismatch")
             status = "pass" if not problems else "fail"
             cases.append(CaseResult(index, f"sentence {fragment} n={structure.domain_size}", status, ",".join(problems)))
             index += 1
@@ -551,7 +548,7 @@ def run_sentence_suite(seed: int, per_fragment: int = 100, max_domain: int = 4) 
 
 
 def run_fo_fastpath_suite(seed: int, formulas: int = 200, max_domain: int = 5) -> Report:
-    """Counting fast path versus generic enumeration, all 0 <= k <= n^2."""
+    """``wt_solve`` with and without fast paths versus Tarski counting, all 0 <= k <= n^2."""
     rng = SplitMix64(seed)
     cases = []
     index = 0
@@ -572,7 +569,7 @@ def run_fo_fastpath_suite(seed: int, formulas: int = 200, max_domain: int = 5) -
         produced += 1
         problems = []
         for k in range(0, n ** 2 + 1 if variables else 2):
-            counted = wt_solve_fo(structure, formula, k)
+            counted = satisfying >= k
             generic = wt_solve(WtInstance(structure, formula, k), fast_path="off") is not None
             fast = wt_solve(WtInstance(structure, formula, k), fast_path="auto") is not None
             if counted != generic or counted != fast:

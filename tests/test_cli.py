@@ -1,3 +1,4 @@
+import itertools
 import json
 import multiprocessing
 import os
@@ -5,6 +6,9 @@ import os
 import pytest
 
 from teamcheck.cli import main
+from teamcheck.evaluator import eval_team
+from teamcheck.formulas import parse
+from teamcheck.model import Team, parse_structure, render_team
 
 K3_STRUCTURE = "domain 3\nrel E/2 : (0,1) (1,0) (1,2) (2,1) (0,2) (2,0)\n"
 CLIQUE_FORMULA = "E(x,y) & x!=y & inc(y;x) & inc(x;y)"
@@ -101,6 +105,40 @@ class TestCheck:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "SAT"
         assert payload["path"] == "inclusion-fixpoint"
+
+
+    @pytest.mark.parametrize("formula, mode, path", [
+        ("dep(x;y) | !E(x,y)", "auto", "strict"),
+        (CLIQUE_FORMULA, "auto", "inclusion-fixpoint"),
+        ("exists u (E(x,u) & E(u,y))", "auto", "fo-counting"),
+        ("indep(;x;y)", "auto", "generic"),
+        ("dep(x;y) | !E(x,y)", "off", "generic"),
+        (CLIQUE_FORMULA, "off", "generic"),
+    ])
+    def test_json_path_names_the_check_and_keeps_the_verdict(self, tmp_path, capsys, formula, mode, path):
+        structure_text = "domain 3\nrel E/2 : (0,1) (1,2) (2,0) (1,1)\n"
+        structure_file = tmp_path / "s.structure"
+        structure_file.write_text(structure_text)
+        structure = parse_structure(structure_text)
+        parsed = parse(formula, structure.vocabulary)
+        rows = [(0, 1), (1, 1), (1, 2), (2, 0), (2, 2)]
+        verdicts = set()
+        for size in (2, 3, 5):
+            for combo in itertools.combinations(rows, size):
+                team = Team.make(["x", "y"], combo)
+                team_file = tmp_path / "team.txt"
+                team_file.write_text(render_team(team))
+                code = main([
+                    "check", "--structure", str(structure_file), "--formula", formula,
+                    "--team", str(team_file), "--fast-path", mode, "--json",
+                ])
+                payload = json.loads(capsys.readouterr().out)
+                expected = eval_team(structure, team, parsed)
+                assert payload["path"] == path
+                assert payload["verdict"] == ("SAT" if expected else "UNSAT"), combo
+                assert code == (0 if expected else 1)
+                verdicts.add(expected)
+        assert verdicts == {True, False}
 
 
 class TestSolve:

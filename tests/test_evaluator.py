@@ -5,12 +5,22 @@ import weakref
 import pytest
 
 from team_reference import satisfies
-from teamcheck.corpus import SplitMix64, random_formula, random_structure, random_team
+from teamcheck.corpus import (
+    SplitMix64,
+    _random_quantifier_free,
+    _random_team_atom,
+    random_formula,
+    random_structure,
+    random_team,
+    search_cost,
+)
 from teamcheck.errors import EvaluationError
-from teamcheck.evaluator import _Evaluator, check_sentence, eval_fo_tarski, eval_team, row_test
-from teamcheck.formulas import Exists, Forall, atom_set, free_vars, parse, render, subformulas
+from teamcheck.evaluator import _Evaluator, eval_fo_tarski, eval_team, row_test
+from teamcheck.formulas import And, Exists, Forall, Or, atom_set, free_vars, is_first_order, parse, render, subformulas
+from teamcheck.inclusion import compile_max
 from teamcheck.model import Structure, Team, Vocabulary, canonical_rows
 from teamcheck.reductions import Graph, encode_indset
+from teamcheck.solver import check_sentence
 from teamcheck.verify import INCLUSION_TEMPLATES
 
 GRAPH_VOCAB = Vocabulary(relations=(("E", 2),))
@@ -484,6 +494,91 @@ class TestAgainstDefinitions:
                 self.assert_agrees(structure, Team(("x", "y"), frozenset(combo)), formula)
 
 
+class TestQuantifiedFirstOrder:
+    """First-order subformulas, quantified or not, are decided row by row.
+
+    They are flat, so the compiled evaluators give them one row test each
+    instead of a team-level quantifier search; these tests hold the verdicts
+    to the definitions and check that no team-level node is built for them.
+    """
+
+    POOL = ["x", "y", "u"]
+
+    @classmethod
+    def nested(cls, rng, fragment, depth):
+        """Quantified first-order pieces and team atoms under ``&``, ``|`` and quantifiers."""
+        if depth == 0:
+            if rng.random() < 0.4:
+                return _random_team_atom(rng, fragment, cls.POOL)
+            body = _random_quantifier_free(rng, "FO", cls.POOL + ["v"])
+            return (Exists if rng.random() < 0.5 else Forall)("v", body)
+        kind = rng.randrange(4)
+        if kind == 2:
+            return (Exists if rng.random() < 0.5 else Forall)("u", cls.nested(rng, fragment, depth - 1))
+        left, right = cls.nested(rng, fragment, depth - 1), cls.nested(rng, fragment, rng.randrange(depth))
+        return And(left, right) if kind == 0 else Or(left, right)
+
+    @pytest.mark.parametrize("fragment", ["FO(dep)", "FO(inc)", "FO(indep)"])
+    def test_nested_random_formulas_agree_with_definitions(self, fragment):
+        rng = SplitMix64(sum(map(ord, fragment)) + 6)
+        checked = nested_fo = 0
+        while checked < 200:
+            structure = random_structure(rng, 3, min_domain=2)
+            formula = self.nested(rng, fragment, rng.randint(1, 2))
+            if search_cost(formula, 3, structure.domain_size) > 5e4:
+                continue
+            nested_fo += any(
+                isinstance(sub, (Exists, Forall)) and not atom_set(sub) for sub in subformulas(formula)
+            ) and not is_first_order(formula)
+            variables = sorted(free_vars(formula) | {"x", "y"} | ({"u"} if checked % 2 else set()))
+            TestAgainstDefinitions.assert_agrees(structure, random_team(rng, structure, variables, 3), formula)
+            checked += 1
+        assert nested_fo > 80
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_quantified_first_order_compiles_to_a_row_test(self, monkeypatch, strict):
+        import teamcheck.evaluator as evaluator_module
+
+        extended = []
+        original = evaluator_module.extension_memo
+
+        def recording(structure, variables, variable):
+            extended.append(variable)
+            return original(structure, variables, variable)
+
+        monkeypatch.setattr(evaluator_module, "extension_memo", recording)
+        structure = graph_structure(3, [(0, 1), (1, 2), (2, 0), (1, 1)])
+        path = parse("exists u (E(x,u) & E(u,y))")
+        evaluator = _Evaluator(structure, strict, 1 << 20)
+        node = evaluator.node(Or(parse("dep(;x)"), path), ("x", "y"))
+        # no quantifier extension is compiled, and the team atom beside the
+        # path is the only node with a row-set memo
+        assert extended == [] and len(evaluator.memos) == 1
+        rows = canonical_rows(3, ["x", "y"])
+        paths = [row for row in rows if eval_fo_tarski(structure, dict(zip(("x", "y"), row)), path)]
+        assert 0 < len(paths) < len(rows)
+        assert evaluator.node(path, ("x", "y"))(frozenset(rows)) is False
+        assert evaluator.node(path, ("x", "y"))(frozenset(paths)) is True
+        assert node(frozenset(rows)) == (len({x for x, _ in set(rows) - set(paths)}) <= 1)
+
+    def test_inclusion_fixpoint_compiles_quantified_first_order_to_a_row_test(self, monkeypatch):
+        import teamcheck.inclusion as inclusion_module
+
+        extended = []
+        original = inclusion_module.extension_memo
+
+        def recording(structure, variables, variable):
+            extended.append(variable)
+            return original(structure, variables, variable)
+
+        monkeypatch.setattr(inclusion_module, "extension_memo", recording)
+        structure = graph_structure(3, [(0, 1), (1, 2), (2, 0)])
+        compile_max(structure, ("x", "y"), parse("inc(x;y) & forall u (E(u,x) | exists v E(v,u))"))
+        assert extended == []
+        compile_max(structure, ("x", "y"), parse("exists u (inc(u;x) & E(u,y))"))
+        assert extended == ["u"]
+
+
 class TestCacheBound:
     """``max_cache_entries`` bounds the memo entries; verdicts never depend on it."""
 
@@ -519,6 +614,28 @@ class TestCacheBound:
             evaluator.check(team, formula)
             unbounded = max(unbounded, sum(map(len, evaluator.memos)))
         assert unbounded > 7  # the small bounds did refuse inserts
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_shared_operand_decides_each_row_set_once(self, monkeypatch, strict):
+        # dep(;x) is an operand of both disjunctions; one memo serves both
+        # parents, so its decide runs at most once per subset of the team.
+        calls = []
+        original = _Evaluator._dep
+
+        def counting(evaluator, formula, variables):
+            decide = original(evaluator, formula, variables)
+
+            def counted(rows):
+                calls.append(rows)
+                return decide(rows)
+
+            return counted
+
+        monkeypatch.setattr(_Evaluator, "_dep", counting)
+        n = 8
+        team = Team.make(["x"], [(a,) for a in range(n)])
+        assert not eval_team(graph_structure(n, []), team, parse("dep(;x) | dep(;x) | dep(;x)"), strict=strict)
+        assert 0 < len(calls) <= 2 ** n
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_evaluator_is_freed_without_the_cycle_collector(self, strict):

@@ -112,6 +112,28 @@ class TestCompileMax:
                 assert compiled(team.rows) == fresh.rows, combo
 
 
+    @pytest.mark.parametrize("text", [
+        "inc(x;y) & exists u (E(x,u) & E(u,y))",
+        "forall u (E(u,x) | u=y) | inc(y;x)",
+        "exists v (inc(v;x) & forall u (E(u,v) | u=y))",
+        "inc(x;y) | (exists u (E(u,x) & !E(u,y)) & inc(y;x))",
+        "forall v (inc(x;y) & (exists u E(v,u) | E(x,v)))",
+    ])
+    def test_quantified_first_order_subformulas_agree_with_generic(self, text):
+        # the first-order pieces compile to one row test; verdicts must not move
+        rows = [(a, b) for a in range(3) for b in range(3)]
+        formula = parse(text, GRAPH_VOCAB)
+        for edges in ([(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 0), (1, 1)], [(0, 0), (2, 1)]):
+            structure = structure_with_edges(3, edges)
+            compiled = compile_max(structure, ("x", "y"), formula)
+            for size in range(4):
+                for combo in itertools.combinations(rows, size):
+                    team = Team.make(["x", "y"], combo)
+                    assert (compiled(team.rows) == team.rows) == eval_team(structure, team, formula), (
+                        text, edges, combo,
+                    )
+
+
 class TestEvalInclusion:
     def test_clique_formula_on_k3_full_team(self):
         team = Team.make(["x", "y"], [(a, b) for a in range(3) for b in range(3) if a != b])

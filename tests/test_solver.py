@@ -6,7 +6,7 @@ import pytest
 
 from teamcheck.corpus import SplitMix64, random_structure
 from teamcheck.errors import EvaluationError
-from teamcheck.evaluator import eval_team
+from teamcheck.evaluator import eval_fo_tarski, eval_team
 from teamcheck.formulas import And, Eq, Exists, Forall, Neq, NegRel, Or, Rel, Var, free_vars, is_quantifier_free, parse
 from teamcheck.model import Structure, Team, Vocabulary, canonical_rows
 from teamcheck import solver
@@ -18,8 +18,6 @@ from teamcheck.solver import (
     wd_check,
     wd_solve,
     wt_solve,
-    wt_solve_fo,
-    wt_solve_sentence,
 )
 from teamcheck.verify import INCLUSION_TEMPLATES, clique_wd_formula, domset_wd_formula
 
@@ -124,48 +122,73 @@ class TestWtSolve:
 
 
 class TestWtSolveFo:
+    """First-order formulas are flat: a size-k team exists iff k rows satisfy them."""
+
     def test_counts_directed_pairs(self):
         edges = [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)]
         structure = structure_with_edges(3, edges)
         formula = parse("E(x,y)", GRAPH_VOCAB)
-        assert wt_solve_fo(structure, formula, 6)
-        assert not wt_solve_fo(structure, formula, 7)
+        assert wt_solve(WtInstance(structure, formula, 6)) == Team.make(["x", "y"], edges)
+        assert wt_solve(WtInstance(structure, formula, 7)) is None
 
-    def test_k_zero_always_true(self):
-        assert wt_solve_fo(k3(), parse("x!=x"), 0)
+    def test_k_zero_gives_the_empty_team(self):
+        assert wt_solve(WtInstance(k3(), parse("x!=x"), 0)) == Team.empty(["x"])
 
     def test_unsatisfiable_atom(self):
-        assert not wt_solve_fo(k3(), parse("x!=x"), 1)
+        assert wt_solve(WtInstance(k3(), parse("x!=x"), 1)) is None
 
-    def test_rejects_team_atoms(self):
-        with pytest.raises(EvaluationError):
-            wt_solve_fo(k3(), parse("dep(x;y)"), 1)
+    def test_witness_is_the_first_k_satisfying_rows(self):
+        structure = structure_with_edges(3, [(0, 1), (1, 2), (2, 2)])
+        formula = parse("exists y (E(x,y) & !E(y,x)) | forall y (E(y,x) | x=y)", GRAPH_VOCAB)
+        satisfying = [(a,) for a in range(3) if eval_fo_tarski(structure, {"x": a}, formula)]
+        assert 0 < len(satisfying) < 3
+        for k in range(len(satisfying) + 2):
+            expected = Team(("x",), frozenset(satisfying[:k])) if k <= len(satisfying) else None
+            for mode in ("auto", "off"):
+                assert wt_solve(WtInstance(structure, formula, k), fast_path=mode) == expected, (k, mode)
 
-    def test_agrees_with_generic_solver(self):
+    def test_agrees_with_tarski_count(self):
         structure = structure_with_edges(3, [(0, 1), (1, 2)])
         formula = parse("exists y E(x,y)", GRAPH_VOCAB)
+        count = sum(eval_fo_tarski(structure, {"x": a}, formula) for a in range(3))
         for k in range(0, 5):
-            counted = wt_solve_fo(structure, formula, k)
-            generic = wt_solve(WtInstance(structure, formula, k), fast_path="off")
-            assert counted == (generic is not None)
+            for mode in ("auto", "off"):
+                witness = wt_solve(WtInstance(structure, formula, k), fast_path=mode)
+                assert (witness is not None) == (k <= count), (k, mode)
 
 
 class TestWtSolveSentence:
+    """A sentence's only teams are the empty team and the one-row team ``{()}``."""
+
     def test_k_two_never_holds(self):
-        assert not wt_solve_sentence(k3(), parse("forall x E(x,x)", GRAPH_VOCAB), 2)
+        structure = structure_with_edges(2, [(0, 0), (1, 1)])
+        sentence = parse("forall x E(x,x)", GRAPH_VOCAB)
+        assert wt_solve(WtInstance(structure, sentence, 1)) is not None
+        assert wt_solve(WtInstance(structure, sentence, 2)) is None
 
     def test_k_one_matches_truth(self):
         structure = structure_with_edges(2, [(0, 0), (1, 1)])
         sentence = parse("forall x E(x,x)", GRAPH_VOCAB)
-        assert wt_solve_sentence(structure, sentence, 1)
-        assert not wt_solve_sentence(structure_with_edges(2, [(0, 0)]), sentence, 1)
+        assert wt_solve(WtInstance(structure, sentence, 1)) == Team.singleton_empty_assignment()
+        assert wt_solve(WtInstance(structure_with_edges(2, [(0, 0)]), sentence, 1)) is None
 
     def test_k_zero_always_holds(self):
-        assert wt_solve_sentence(k3(), parse("forall x x!=x"), 0)
+        assert wt_solve(WtInstance(k3(), parse("forall x x!=x"), 0)) == Team.empty(())
 
-    def test_rejects_open_formulas(self):
-        with pytest.raises(EvaluationError):
-            wt_solve_sentence(k3(), parse("E(x,x)", GRAPH_VOCAB), 1)
+    @pytest.mark.parametrize("text", [
+        "exists x exists y (dep(x;y) & x!=y)",
+        "forall x dep(;x)",
+        "forall x exists y (E(x,y) & inc(y;x))",
+        "exists x (inc(x;x) & !E(x,x))",
+        "forall x exists y indep(;x;y)",
+    ])
+    def test_team_atom_sentences_match_the_one_row_team(self, text):
+        structure = structure_with_edges(3, [(0, 1), (1, 2), (2, 0)])
+        sentence = parse(text, GRAPH_VOCAB)
+        truth = eval_team(structure, Team.singleton_empty_assignment(), sentence)
+        for mode in ("auto", "off"):
+            witness = wt_solve(WtInstance(structure, sentence, 1), fast_path=mode)
+            assert (witness is not None) == truth, mode
 
 
 class TestWeightedDefinability:
