@@ -18,6 +18,10 @@ on the formula:
 * every term is resolved to a column index or a constant (``term_values``);
 * each quantifier fixes its extended variable order and insertion position
   (``model.extension_memo``);
+* an existential keeps, per row, only the extensions that pass the
+  first-order conjuncts of its body (``formulas.first_order_conjuncts``),
+  since a supplemented team satisfies the body only if every row does; a
+  nonempty team with a row that has none fails without a search;
 * a first-order subformula, quantified or not, becomes one row test
   (``row_test``), applied row by row because first-order formulas are flat;
 * unknown relations and constants raise ``EvaluationError``.
@@ -38,7 +42,9 @@ downward-closed fragment (no inclusion or independence atoms), which strict
 mode enforces; there it also licenses two shortcuts used heavily by the
 solver: rows satisfying a first-order disjunct can be peeled off
 pointwise, and everything else must then satisfy the remaining
-disjunct.
+disjunct.  In both modes an existential picks its values from the narrowed
+extensions only: the strict product and the lax cover search run over them,
+and the lax search streams once they exceed ``_SUBSET_LIMIT`` rows.
 """
 
 from __future__ import annotations
@@ -66,7 +72,9 @@ from .formulas import (
     Rel,
     Term,
     Var,
+    and_all,
     atom_set,
+    first_order_conjuncts,
     free_vars,
     is_first_order,
 )
@@ -287,6 +295,17 @@ def _exists_streaming(body: Node, per_row: list[tuple[Row, ...]]) -> bool:
     return False
 
 
+def _parts(extensions: Memo, rows: Rows) -> list[tuple[Row, ...]] | None:
+    """Each row's extensions in row order, or ``None`` at the first row that has none."""
+    parts = []
+    for row in sorted(rows):
+        part = extensions[row]
+        if not part:
+            return None
+        parts.append(part)
+    return parts
+
+
 class _Evaluator:
     """Team satisfaction by compiled nodes; ``check`` is the entry point."""
 
@@ -427,24 +446,41 @@ class _Evaluator:
 
         return decide
 
-    # -- lax existential: search for a covering supplemented team ----------
+    # -- existentials: supplements built from extensions that pass ---------
+
+    def _extensions(self, formula: Exists, variables: tuple[str, ...]) -> tuple[Memo, Node]:
+        """Per-row extensions that pass the body's first-order conjuncts, and the body's node.
+
+        First-order formulas are flat, so a supplemented team satisfies the
+        body only if each of its rows passes them.  Narrowing keeps two rows'
+        extension sets equal (the rows differ only in the quantified
+        variable) or disjoint.
+        """
+        extended, extensions = extension_memo(self.structure, variables, formula.variable)
+        conjuncts = first_order_conjuncts(formula.body)
+        if conjuncts:
+            passes = Memo(row_test(self.structure, and_all(conjuncts), extended))
+            every = extensions
+            extensions = Memo(lambda row: tuple(filter(passes.__getitem__, every[row])))
+        return extensions, self.node(formula.body, extended)
 
     def _exists_lax(self, formula: Exists, variables: tuple[str, ...]) -> Node:
-        extended, extensions = extension_memo(self.structure, variables, formula.variable)
-        body = self.node(formula.body, extended)
+        extensions, body = self._extensions(formula, variables)
 
         def decide(rows: Rows) -> bool:
             if not rows:
                 return body(_EMPTY)
-            # Two rows' extension sets are equal (the rows differ only in the
-            # quantified variable) or disjoint, so the distinct sets partition
-            # the duplicated rows; a supplement must meet every part.
-            parts = set(map(extensions.__getitem__, rows))
+            per_row = _parts(extensions, rows)
+            if per_row is None:
+                return False
+            # The distinct extension sets partition the extended rows; a
+            # supplement must meet every part.
+            parts = set(per_row)
             part_of = {row: i for i, part in enumerate(parts) for row in part}
             drows = sorted(part_of)
             count = len(drows)
             if count > _SUBSET_LIMIT:
-                return _exists_streaming(body, [extensions[row] for row in sorted(rows)])
+                return _exists_streaming(body, per_row)
             parts_of = [part_of[row] for row in drows]
             for size in range(len(parts), count + 1):
                 for combo in itertools.combinations(range(count), size):
@@ -477,13 +513,15 @@ class _Evaluator:
         return decide
 
     def _exists_strict(self, formula: Exists, variables: tuple[str, ...]) -> Node:
-        extended, extensions = extension_memo(self.structure, variables, formula.variable)
-        body = self.node(formula.body, extended)
+        extensions, body = self._extensions(formula, variables)
 
         def decide(rows: Rows) -> bool:
             if not rows:
                 return body(_EMPTY)
-            for choice in itertools.product(*map(extensions.__getitem__, sorted(rows))):
+            per_row = _parts(extensions, rows)
+            if per_row is None:
+                return False
+            for choice in itertools.product(*per_row):
                 if body(frozenset(choice)):
                     return True
             return False

@@ -207,6 +207,18 @@ def is_first_order(formula: Formula) -> bool:
     return isinstance(formula, (Eq, Neq, Rel, NegRel))
 
 
+def first_order_conjuncts(formula: Formula) -> list[Formula]:
+    """The first-order operands of the formula's top-level ``&`` chain (all of it, if first-order).
+
+    A team satisfies the formula only if every row satisfies each of them.
+    """
+    if isinstance(formula, And):
+        return first_order_conjuncts(formula.left) + first_order_conjuncts(formula.right)
+    if is_first_order(formula):
+        return [formula]
+    return []
+
+
 @dataclass(frozen=True)
 class PrenexPrefix:
     """Quantifier-block summary of a prenex formula.

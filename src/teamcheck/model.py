@@ -271,6 +271,11 @@ def all_assignments(structure: Structure, variables: Iterable[str]) -> Iterator[
 _TUPLE_RE = re.compile(r"\(([0-9,\s]*)\)")
 
 
+def is_numeral(text: str) -> bool:
+    """A nonempty run of the ASCII digits 0-9; ``str.isdigit`` alone also takes ``²``."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_structure(text: str) -> Structure:
     domain_size: int | None = None
     relations: dict[str, frozenset[Row]] = {}
@@ -283,11 +288,11 @@ def parse_structure(text: str) -> Structure:
             continue
         parts = line.split()
         if parts[0] == "domain":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not is_numeral(parts[1]):
                 raise ParseError("expected `domain <n>`", lineno, 1)
             domain_size = int(parts[1])
         elif parts[0] == "rel":
-            m = re.match(r"rel\s+(\w+)/(\d+)\s*:(.*)$", line)
+            m = re.match(r"rel\s+(\w+)/([0-9]+)\s*:(.*)$", line)
             if not m:
                 raise ParseError("expected `rel <name>/<arity> : (a,b) ...`", lineno, 1)
             name, arity, rest = m.group(1), int(m.group(2)), m.group(3)
@@ -303,7 +308,7 @@ def parse_structure(text: str) -> Structure:
             rel_decls.append((name, arity))
             relations[name] = frozenset(tuples)
         elif parts[0] == "const":
-            m = re.match(r"const\s+(\w+)\s*=\s*(\d+)$", line)
+            m = re.match(r"const\s+(\w+)\s*=\s*([0-9]+)$", line)
             if not m:
                 raise ParseError("expected `const <name> = <id>`", lineno, 1)
             const_decls.append(m.group(1))
@@ -349,7 +354,7 @@ def parse_team(text: str, default_variables: Iterable[str] = ()) -> Team:
             if "=" not in part:
                 raise ParseError(f"expected `var=value`, got {part!r}", lineno, 1)
             var, _, val = part.partition("=")
-            if not val.lstrip("-").isdigit():
+            if not is_numeral(val.removeprefix("-")):
                 raise ParseError(f"value for {var!r} is not an integer", lineno, 1)
             if var in binding:
                 raise ParseError(f"variable {var!r} bound twice", lineno, 1)

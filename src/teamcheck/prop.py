@@ -195,7 +195,7 @@ def normalize_layered(formula: PropFormula, depth: int) -> PropFormula:
 
 # --- concrete syntax ----------------------------------------------------------
 
-_PTOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<var>x\d+)|(?P<sym>[()&|!])")
+_PTOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<var>x[0-9]+)|(?P<sym>[()&|!])")
 
 
 def parse_prop(text: str) -> PropFormula:

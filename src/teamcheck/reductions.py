@@ -37,7 +37,7 @@ from .formulas import (
     Var,
     parse,
 )
-from .model import Structure, Vocabulary
+from .model import Structure, Vocabulary, is_numeral
 from .prop import (
     PLit,
     PropFormula,
@@ -99,13 +99,13 @@ def parse_graph(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "p":
-            if len(parts) != 3 or not all(p.isdigit() for p in parts[1:]):
+            if len(parts) != 3 or not all(map(is_numeral, parts[1:])):
                 raise ParseError("expected `p <n> <m>`", lineno, 1)
             vertex_count, declared_edges = int(parts[1]), int(parts[2])
         elif parts[0] == "e":
             if vertex_count is None:
                 raise ParseError("edge before the `p` header", lineno, 1)
-            if len(parts) != 3 or not all(p.isdigit() for p in parts[1:]):
+            if len(parts) != 3 or not all(map(is_numeral, parts[1:])):
                 raise ParseError("expected `e <u> <v>`", lineno, 1)
             edges.add((int(parts[1]), int(parts[2])))
         else:
@@ -471,11 +471,11 @@ def parse_circuit(text: str) -> BooleanCircuit:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "gate" and len(parts) == 3 and parts[1].isdigit() and parts[2] in ("and", "or", "input"):
+        if parts[0] == "gate" and len(parts) == 3 and is_numeral(parts[1]) and parts[2] in ("and", "or", "input"):
             kinds[int(parts[1])] = parts[2]
-        elif parts[0] == "edge" and len(parts) == 3 and parts[1].isdigit() and parts[2].isdigit():
+        elif parts[0] == "edge" and len(parts) == 3 and is_numeral(parts[1]) and is_numeral(parts[2]):
             edges.add((int(parts[1]), int(parts[2])))
-        elif parts[0] == "output" and len(parts) == 2 and parts[1].isdigit():
+        elif parts[0] == "output" and len(parts) == 2 and is_numeral(parts[1]):
             output = int(parts[1])
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno, 1)

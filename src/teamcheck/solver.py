@@ -51,15 +51,14 @@ from typing import Callable, Iterable, Iterator
 from .errors import EvaluationError
 from .evaluator import DEFAULT_CACHE_ENTRIES, Rows, _Evaluator, eval_fo_tarski, row_test
 from .formulas import (
-    And,
     Formula,
     FragmentReport,
     NegRel,
     Rel,
     and_all,
     classify,
+    first_order_conjuncts,
     free_vars,
-    is_first_order,
     subformulas,
 )
 from .inclusion import compile_max
@@ -96,14 +95,6 @@ class WdFormula:
             elif isinstance(sub, NegRel) and sub.name == self.symbol:
                 out.append("negative")
         return tuple(out)
-
-
-def _first_order_conjuncts(formula: Formula) -> list[Formula]:
-    if isinstance(formula, And):
-        return _first_order_conjuncts(formula.left) + _first_order_conjuncts(formula.right)
-    if is_first_order(formula):
-        return [formula]
-    return []
 
 
 def colex_subsets(
@@ -196,7 +187,7 @@ def wt_solve(
     rows = canonical_rows(structure.domain_size, variables)
 
     allowed_indices = list(range(len(rows)))
-    conjuncts = _first_order_conjuncts(formula)
+    conjuncts = first_order_conjuncts(formula)
     if conjuncts:
         allowed = row_test(structure, and_all(conjuncts), variables)
         allowed_indices = [i for i in allowed_indices if allowed(rows[i])]

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -15,9 +16,9 @@ from teamcheck.corpus import (
     search_cost,
 )
 from teamcheck.errors import EvaluationError
-from teamcheck.evaluator import _Evaluator, eval_fo_tarski, eval_team, row_test
+from teamcheck.evaluator import _SUBSET_LIMIT, _Evaluator, eval_fo_tarski, eval_team, row_test
 from teamcheck.formulas import And, Exists, Forall, Or, atom_set, free_vars, is_first_order, parse, render, subformulas
-from teamcheck.inclusion import compile_max
+from teamcheck.inclusion import compile_max, eval_inclusion
 from teamcheck.model import Structure, Team, Vocabulary, canonical_rows
 from teamcheck.reductions import Graph, encode_indset
 from teamcheck.solver import check_sentence
@@ -466,12 +467,19 @@ class TestAgainstDefinitions:
             "forall x (dep(;y) & (E(x,y) | x!=y))",
             "exists y (dep(x;y) & inc(y;x))",
             "forall y exists x (E(x,y) | indep(;x;y))",
+            "exists u (inc(u;x) & (E(u,y) | u=y))",
+            "exists y (E(x,y) & dep(x;y))",
+            "exists u ((dep(;u) & E(x,u)) & u!=y)",
+            "exists u (u!=u & dep(;x))",
         ],
     )
     def test_constant_atoms_and_quantifiers_over_team_variables(self, text):
         # dep(;x) has no determinant columns; the quantifiers rebind x or y,
         # which every team here already binds.  The inclusion disjunction
         # needs an overlapping cover on some 3-row teams over 3 elements.
+        # The last four narrow their exists search by a first-order
+        # conjunct: beside a team atom, in a nested chain, or one that no
+        # extension passes.
         rng = SplitMix64(sum(map(ord, text)))
         formula = parse(text)
         for n in (2, 3):
@@ -577,6 +585,90 @@ class TestQuantifiedFirstOrder:
         assert extended == []
         compile_max(structure, ("x", "y"), parse("exists u (inc(u;x) & E(u,y))"))
         assert extended == ["u"]
+
+
+class TestExistsNarrowing:
+    """``exists`` searches only the extensions that pass its body's first-order conjuncts."""
+
+    @staticmethod
+    def count_calls(monkeypatch, method):
+        """Count calls of every node that ``_Evaluator.<method>`` compiles, and of every row test."""
+        import teamcheck.evaluator as evaluator_module
+
+        calls = Counter()
+        original = getattr(_Evaluator, method)
+
+        def compile_counted(evaluator, formula, variables):
+            decide = original(evaluator, formula, variables)
+
+            def counted(rows):
+                calls[method] += 1
+                return decide(rows)
+
+            return counted
+
+        original_row_test = evaluator_module.row_test
+
+        def row_test_counted(structure, formula, variables, free=None):
+            test = original_row_test(structure, formula, variables, free)
+
+            def counted(row):
+                calls[formula] += 1
+                return test(row)
+
+            return counted
+
+        monkeypatch.setattr(_Evaluator, method, compile_counted)
+        monkeypatch.setattr(evaluator_module, "row_test", row_test_counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "text, method, strict",
+        [("exists u (inc(u;x) & E(u,y))", "_inc", False), ("exists u (dep(x;u) & E(u,y))", "_dep", True)],
+    )
+    def test_a_row_without_a_passing_extension_calls_no_body(self, monkeypatch, text, method, strict):
+        # Nothing has an edge into 2, so a row with y=2 has no passing u.
+        structure = graph_structure(3, [(0, 1), (1, 0), (0, 0)])
+        calls = self.count_calls(monkeypatch, method)
+        team = Team.make(["x", "y"], [(0, 0), (1, 1), (2, 0), (0, 2)])
+        assert eval_team(structure, team, parse(text), strict=strict) is False
+        assert calls[method] == 0
+        # No row has one: the first row decides, and no other row is narrowed.
+        calls.clear()
+        team = Team.make(["x", "y"], [(0, 2), (1, 2), (2, 2)])
+        assert eval_team(structure, team, parse(text), strict=strict) is False
+        assert calls[method] == 0 and calls[parse("E(u,y)")] == 3
+
+    def test_a_satisfiable_team_tries_only_covers_of_the_passing_extensions(self, monkeypatch):
+        formula = parse("exists u (inc(u;x) & (E(u,y) | u=y))")
+        conjunct = formula.body.right
+        structure = graph_structure(3, [(0, 1), (1, 2)])
+        calls = self.count_calls(monkeypatch, "_inc")
+        team = Team.make(["x", "y"], [(0, 2), (1, 0), (1, 2), (2, 0)])
+        assert eval_team(structure, team, formula) is True
+        # one nonempty subset of each row's passing extensions (its part)
+        covers = 1
+        for x, y in team.rows:
+            passing = sum(eval_fo_tarski(structure, {"x": x, "y": y, "u": u}, conjunct) for u in range(3))
+            covers *= 2**passing - 1
+        assert 0 < calls["_inc"] <= covers == 9
+
+    def test_narrowing_below_the_subset_limit_keeps_the_fixpoint_verdict(self):
+        # 6 rows over 4 elements duplicate to 24 > _SUBSET_LIMIT rows, but
+        # each row passes E(u,y) | u=y for at most two u, so the cover
+        # search runs instead of the streaming fallback.
+        formula = parse("exists u (inc(u;x) & (E(u,y) | u=y))")
+        structure = graph_structure(4, [(0, 1), (2, 3), (3, 0)])
+        rng = SplitMix64(8)
+        rows = canonical_rows(4, ["x", "y"])
+        verdicts = Counter()
+        for _ in range(30):
+            team = Team(("x", "y"), frozenset(rng.sample(rows, 6)))
+            assert len(team) * 4 > _SUBSET_LIMIT
+            verdict = eval_team(structure, team, formula)
+            assert verdict == eval_inclusion(structure, team, formula), sorted(team.rows)
+            verdicts[verdict] += 1
+        assert verdicts[True] and verdicts[False]
 
 
 class TestCacheBound:

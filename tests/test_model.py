@@ -239,6 +239,14 @@ class TestStructureFormat:
         with pytest.raises(ParseError):
             parse_structure("domain 2\nrel E/2 : (0,1)\nrel E/2 : (1,0)\n")
 
+    @pytest.mark.parametrize(
+        "text, line", [("domain ²", 1), ("domain 2\nrel E/٢ : (0,1)", 2), ("domain 2\nconst c = ١", 2)]
+    )
+    def test_non_ascii_digits_are_parse_errors(self, text, line):
+        # "²".isdigit() holds but int("²") raises; int("٢") is 2
+        with pytest.raises(ParseError, match=f"line {line}, column 1"):
+            parse_structure(text)
+
 
 class TestTeamFormat:
     def test_round_trip(self):
@@ -257,6 +265,11 @@ class TestTeamFormat:
     def test_inconsistent_rows_rejected(self):
         with pytest.raises(ParseError):
             parse_team("x=0 y=1\nx=2\n")
+
+    @pytest.mark.parametrize("text, line", [("x=²", 1), ("x=0\nx=--1", 2), ("x=0\nx=٣", 2)])
+    def test_malformed_values_are_parse_errors(self, text, line):
+        with pytest.raises(ParseError, match=f"line {line}, column 1"):
+            parse_team(text)
 
 
 def test_canonical_rows_matches_all_assignments():

@@ -1,0 +1,73 @@
+"""Hostile input to the library parsers: only ``TeamcheckError`` may escape.
+
+Each parser gets texts drawn from its own keywords and punctuation, ASCII
+digits, and digits that ``str.isdigit`` accepts but ``int`` may not.  The
+draws are derandomised and short, so the suite stays deterministic.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from teamcheck.errors import TeamcheckError
+from teamcheck.formulas import parse
+from teamcheck.model import Vocabulary, parse_structure, parse_team
+from teamcheck.prop import parse_prop
+from teamcheck.reductions import parse_circuit, parse_graph
+
+# Hostile numerals first: hypothesis draws early choices more often.
+NUMERALS = ["²", "①", "٣", "--1", "-1", "0", "1", "10"]
+
+VOCABULARY = Vocabulary(relations=(("E", 2), ("P", 1)), constants=("c",))
+
+# Formulas and propositional formulas are token streams.
+TOKENS = {
+    "formula": ["exists", "forall", "dep", "inc", "indep", "x", "y", "E", "P", "c", "(", ")", "&", "|", "!",
+                "=", "!=", ";", ",", " ", "\n", "#", "é"],
+    "prop": ["(", ")", "&", "|", "!", "x", "x1", " ", "\n", "#"],
+}
+# The other formats are lines: a directive, then as many words as it takes
+# (the empty word makes fewer); a word is a format word, a numeral, or the
+# two glued together.
+LINES = {
+    "structure": ({"domain": 1, "rel": 2, "const": 3, "#": 1}, ["E/", "E", "c", "=", ":", "(0,", ")", ""]),
+    "team": ({"vars": 2, "x=0": 1}, ["y=", "x"]),
+    "graph": ({"p": 2, "e": 2, "#": 1}, [""]),
+    "circuit": ({"gate": 2, "edge": 2, "output": 1, "#": 1}, ["and", "or", "input", ""]),
+}
+
+
+def texts(fmt):
+    if fmt in TOKENS:
+        return st.lists(st.sampled_from(TOKENS[fmt] + NUMERALS), max_size=24).map("".join)
+    directives, words = LINES[fmt]
+    numeral = st.sampled_from(NUMERALS)
+    word = st.sampled_from(words) | numeral | st.tuples(st.sampled_from(words), numeral).map("".join)
+
+    def line(directive, arity):
+        return st.lists(word, min_size=arity, max_size=arity).map(lambda args: " ".join((directive, *args)))
+
+    return st.lists(st.sampled_from(sorted(directives.items())).flatmap(lambda d: line(*d)), max_size=4).map("\n".join)
+
+
+PARSERS = {
+    "formula": lambda text: (parse(text), parse(text, VOCABULARY)),
+    "structure": parse_structure,
+    "team": parse_team,
+    "graph": parse_graph,
+    "prop": parse_prop,
+    "circuit": parse_circuit,
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(PARSERS))
+def test_only_teamcheck_errors_escape(fmt):
+    @given(texts(fmt))
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    def run(text):
+        try:
+            PARSERS[fmt](text)
+        except TeamcheckError:
+            pass
+
+    run()

@@ -52,6 +52,11 @@ class TestGraph:
         with pytest.raises(ParseError):
             parse_graph("p 3 2\ne 0 1\n")
 
+    @pytest.mark.parametrize("text, line", [("p ² 0", 1), ("p 2 1\ne 0 ²", 2)])
+    def test_non_ascii_digits_are_parse_errors(self, text, line):
+        with pytest.raises(ParseError, match=f"line {line}, column 1"):
+            parse_graph(text)
+
 
 class TestGraphBrute:
     def test_triangle_clique(self):
@@ -251,6 +256,13 @@ class TestCircuits:
     def test_file_round_trip(self):
         c = self.circuit()
         assert parse_circuit(render_circuit(c)) == c
+
+    @pytest.mark.parametrize(
+        "text, line", [("gate ² and\noutput 0", 1), ("gate 0 input\noutput ²", 2), ("gate 0 input\nedge 0 ²", 2)]
+    )
+    def test_non_ascii_digits_are_parse_errors(self, text, line):
+        with pytest.raises(ParseError, match=f"line {line}, column 1"):
+            parse_circuit(text)
 
     def test_equivalence_on_random_circuits(self):
         rng = SplitMix64(5)
