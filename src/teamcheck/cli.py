@@ -77,8 +77,8 @@ def cmd_check(args) -> int:
     if missing:
         raise TeamcheckError(f"team misses free variables {sorted(missing)}")
     require_in_domain(structure, team)
-    path = solve_path(report, args.fast_path)
-    satisfied = compile_check(structure, formula, team.variables, path, args.max_cache)(team.rows)
+    path = solve_path(report)
+    satisfied = compile_check(structure, formula, team.variables, path)(team.rows)
     if args.json:
         print(json.dumps({
             "verdict": "SAT" if satisfied else "UNSAT",
@@ -98,8 +98,8 @@ def cmd_solve(args) -> int:
     report = classify(formula)
     instance = WtInstance(structure, formula, args.k)
     # a sentence's teams are the empty team and {()}; the label says so
-    path = solve_path(report, args.fast_path) if report.free_variables else "sentence"
-    witness = wt_solve(instance, fast_path=args.fast_path, max_cache_entries=args.max_cache)
+    path = solve_path(report) if report.free_variables else "sentence"
+    witness = wt_solve(instance)
     if args.json:
         payload = {
             "verdict": "SAT" if witness is not None else "UNSAT",
@@ -261,18 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="teamcheck", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="emit JSON instead of plain text")
-        p.add_argument("--max-cache", type=int, default=1 << 20, help="memoization entry bound")
-
     check = sub.add_parser("check", help="evaluate a formula on a team")
     check.add_argument("--structure", required=True)
     group = check.add_mutually_exclusive_group(required=True)
     group.add_argument("--formula")
     group.add_argument("--formula-file")
     check.add_argument("--team", required=True)
-    check.add_argument("--fast-path", choices=("auto", "off"), default="auto")
-    common(check)
+    check.add_argument("--json", action="store_true", help="emit JSON instead of plain text")
     check.set_defaults(func=cmd_check)
 
     solve = sub.add_parser("solve", help="search for a team of exactly k assignments")
@@ -281,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--formula")
     group.add_argument("--formula-file")
     solve.add_argument("-k", type=int, required=True)
-    solve.add_argument("--fast-path", choices=("auto", "off"), default="auto")
-    common(solve)
+    solve.add_argument("--json", action="store_true", help="emit JSON instead of plain text")
     solve.set_defaults(func=cmd_solve)
 
     reduce_cmd = sub.add_parser("reduce", help="encode a source problem instance")

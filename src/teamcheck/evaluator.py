@@ -1,12 +1,13 @@
 """Exact team-semantics evaluation.
 
-``eval_team`` decides team satisfaction by exhaustive search over the
-semantic clauses: a disjunction holds when some pair of subteams covering
-the team satisfies the disjuncts (overlap allowed), an existential
-quantifier when some row-wise choice of nonempty value sets produces a
-satisfying supplemented team.  Cost is exponential in team size by
-nature; polynomial paths exist separately for first-order formulas (one
-compiled ``row_test``) and inclusion formulas (the fixpoint in ``inclusion``).
+``eval_team`` decides team satisfaction under the lax semantics, on every
+formula, by exhaustive search over the semantic clauses: a disjunction
+holds when some pair of subteams covering the team satisfies the
+disjuncts (overlap allowed), an existential quantifier when some row-wise
+choice of nonempty value sets produces a satisfying supplemented team.
+Cost is exponential in team size by nature; polynomial paths exist
+separately for first-order formulas (one compiled ``row_test``) and
+inclusion formulas (the fixpoint in ``inclusion``).
 
 The evaluator compiles each (formula, variable order) pair once into a tree
 of nodes.  A node is a function from a bare ``frozenset`` of rows (value
@@ -30,21 +31,23 @@ A row set can recur only where a disjunction searches its covers or
 splits, or where distinct teams peel off to the same rest, so only the
 operands of a disjunction keep a memo keyed by the row set (one per
 interned operand, shared by every parent; its hash CPython caches).
-``max_cache_entries`` bounds the total number of those entries per
-evaluator; inserts are refused once it is reached.  Row tests and
-extensions are memoised per row instead, one entry per distinct row.
-``term_values`` and ``row_test`` are shared with the compile step of the
-inclusion fixpoint.
+``MAX_CACHE_ENTRIES``, read when an evaluator is built, bounds the total
+number of those entries per evaluator; inserts are refused once it is
+reached.  Row tests and extensions are memoised per row instead, one entry
+per distinct row.  ``term_values`` and ``row_test`` are shared with the
+compile step of the inclusion fixpoint.
 
-Strict mode replaces covers by disjoint splits and value sets by single
-values.  That reading is equivalent to the lax one only on the
-downward-closed fragment (no inclusion or independence atoms), which strict
-mode enforces; there it also licenses two shortcuts used heavily by the
-solver: rows satisfying a first-order disjunct can be peeled off
+The strict reading replaces covers by disjoint splits and value sets by
+single values.  It is equivalent to the lax one on the downward-closed
+fragment (no inclusion or independence atoms), the only fragment for which
+``solver.solve_path`` picks it; ``solver.compile_check(..., "strict")`` is
+its one entry point.  There it also licenses two shortcuts used heavily by
+the solver: rows satisfying a first-order disjunct can be peeled off
 pointwise, and everything else must then satisfy the remaining
-disjunct.  In both modes an existential picks its values from the narrowed
-extensions only: the strict product and the lax cover search run over them,
-and the lax search streams once they exceed ``_SUBSET_LIMIT`` rows.
+disjunct.  In both readings an existential picks its values from the
+narrowed extensions only: the strict product and the lax cover search run
+over them, and the lax search streams once they exceed ``_SUBSET_LIMIT``
+rows.
 """
 
 from __future__ import annotations
@@ -73,14 +76,14 @@ from .formulas import (
     Term,
     Var,
     and_all,
-    atom_set,
     first_order_conjuncts,
     free_vars,
     is_first_order,
 )
 from .model import Memo, Row, Structure, Team, extension_memo
 
-DEFAULT_CACHE_ENTRIES = 1 << 20
+# Row-set memo entries one evaluator may hold; verdicts never depend on it.
+MAX_CACHE_ENTRIES = 1 << 20
 
 # Above this many rows the subset-lattice searches fall back to streaming
 # enumeration, which stays correct but may be very slow on unsatisfiable
@@ -309,12 +312,12 @@ def _parts(extensions: Memo, rows: Rows) -> list[tuple[Row, ...]] | None:
 class _Evaluator:
     """Team satisfaction by compiled nodes; ``check`` is the entry point."""
 
-    def __init__(self, structure: Structure, strict: bool, max_cache_entries: int):
+    def __init__(self, structure: Structure, strict: bool = False):
         self.structure = structure
         self.strict = strict
         # Memo inserts left, in a cell that the nodes share.  No node refers
         # to the evaluator, so refcounting frees it and its memos at once.
-        self.room = [max_cache_entries]
+        self.room = [MAX_CACHE_ENTRIES]
         self.memos: list[dict[Rows, bool]] = []  # every operand's memo
         self.nodes: dict[tuple[Formula, tuple[str, ...]], Node] = {}
         self.operands: dict[Node, Node] = {}  # interned node -> its memoised form
@@ -529,15 +532,8 @@ class _Evaluator:
         return decide
 
 
-def eval_team(
-    structure: Structure,
-    team: Team,
-    formula: Formula,
-    *,
-    strict: bool = False,
-    max_cache_entries: int = DEFAULT_CACHE_ENTRIES,
-) -> bool:
-    """Decide team satisfaction under the lax semantics (or strict, see module doc).
+def eval_team(structure: Structure, team: Team, formula: Formula) -> bool:
+    """Decide team satisfaction under the lax semantics, by exhaustive search.
 
     The team domain must contain the formula's free variables; extra
     variables are permitted, and every value must be an element of the
@@ -547,11 +543,4 @@ def eval_team(
     missing = free_vars(formula) - team.domain()
     if missing:
         raise EvaluationError(f"free variables {sorted(missing)} are not in the team domain")
-    if strict:
-        banned = atom_set(formula) & {"inc", "indep"}
-        if banned:
-            raise EvaluationError(
-                f"strict semantics is only available without {sorted(banned)} atoms"
-            )
-    return _Evaluator(structure, strict, max_cache_entries).check(team, formula)
-
+    return _Evaluator(structure).check(team, formula)

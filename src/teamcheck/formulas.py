@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import ParseError
-from .model import Vocabulary
+from .model import KEYWORDS, NAME, Vocabulary
 
 
 # --- terms -----------------------------------------------------------------
@@ -331,12 +331,10 @@ def _render_operand(formula: Formula) -> str:
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<name>{NAME})"
     r"|(?P<neq>!=)"
     r"|(?P<sym>[()&|!=;,])"
 )
-
-_KEYWORDS = {"exists", "forall", "dep", "inc", "indep"}
 
 
 @dataclass(frozen=True)
@@ -357,7 +355,7 @@ def _tokenize(text: str) -> list[_Token]:
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
         chunk = m.group(0)
         if m.lastgroup == "name":
-            kind = chunk if chunk in _KEYWORDS else "name"
+            kind = chunk if chunk in KEYWORDS else "name"
             tokens.append(_Token(kind, chunk, line, col))
         elif m.lastgroup == "neq":
             tokens.append(_Token("!=", chunk, line, col))

@@ -270,10 +270,20 @@ def all_assignments(structure: Structure, variables: Iterable[str]) -> Iterator[
 
 _TUPLE_RE = re.compile(r"\(([0-9,\s]*)\)")
 
+# What ``formulas.parse`` reads as a name; a keyword is never a symbol.
+NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+KEYWORDS = frozenset({"exists", "forall", "dep", "inc", "indep"})
+
 
 def is_numeral(text: str) -> bool:
     """A nonempty run of the ASCII digits 0-9; ``str.isdigit`` alone also takes ``²``."""
     return text.isascii() and text.isdigit()
+
+
+def _symbol(name: str, lineno: int) -> str:
+    if name in KEYWORDS:
+        raise ParseError(f"{name!r} is a formula keyword, not a symbol name", lineno, 1)
+    return name
 
 
 def parse_structure(text: str) -> Structure:
@@ -292,10 +302,10 @@ def parse_structure(text: str) -> Structure:
                 raise ParseError("expected `domain <n>`", lineno, 1)
             domain_size = int(parts[1])
         elif parts[0] == "rel":
-            m = re.match(r"rel\s+(\w+)/([0-9]+)\s*:(.*)$", line)
+            m = re.match(rf"rel\s+({NAME})/([0-9]+)\s*:(.*)$", line)
             if not m:
                 raise ParseError("expected `rel <name>/<arity> : (a,b) ...`", lineno, 1)
-            name, arity, rest = m.group(1), int(m.group(2)), m.group(3)
+            name, arity, rest = _symbol(m.group(1), lineno), int(m.group(2)), m.group(3)
             tuples: set[Row] = set()
             leftovers = _TUPLE_RE.sub("", rest).strip()
             if leftovers:
@@ -308,10 +318,10 @@ def parse_structure(text: str) -> Structure:
             rel_decls.append((name, arity))
             relations[name] = frozenset(tuples)
         elif parts[0] == "const":
-            m = re.match(r"const\s+(\w+)\s*=\s*([0-9]+)$", line)
+            m = re.match(rf"const\s+({NAME})\s*=\s*([0-9]+)$", line)
             if not m:
                 raise ParseError("expected `const <name> = <id>`", lineno, 1)
-            const_decls.append(m.group(1))
+            const_decls.append(_symbol(m.group(1), lineno))
             constants[m.group(1)] = int(m.group(2))
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno, 1)

@@ -199,7 +199,7 @@ _PTOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<var>x[0-9]+)|(?P<sym>[()&|!])")
 
 
 def parse_prop(text: str) -> PropFormula:
-    tokens: list[tuple[str, str, int]] = []
+    tokens: list[tuple[str, str, int, int]] = []  # kind, text, line, column
     line = 1
     col = 1
     pos = 0
@@ -209,43 +209,43 @@ def parse_prop(text: str) -> PropFormula:
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
         chunk = m.group(0)
         if m.lastgroup == "var":
-            tokens.append(("var", chunk, col))
+            tokens.append(("var", chunk, line, col))
         elif m.lastgroup == "sym":
-            tokens.append((chunk, chunk, col))
+            tokens.append((chunk, chunk, line, col))
         if "\n" in chunk:
             line += chunk.count("\n")
             col = len(chunk) - chunk.rfind("\n")
         else:
             col += len(chunk)
         pos = m.end()
-    tokens.append(("eof", "", col))
+    tokens.append(("eof", "", line, col))
     cursor = 0
 
-    def peek() -> tuple[str, str, int]:
+    def peek() -> tuple[str, str, int, int]:
         return tokens[cursor]
 
-    def advance() -> tuple[str, str, int]:
+    def advance() -> tuple[str, str, int, int]:
         nonlocal cursor
         token = tokens[cursor]
         cursor += 1
         return token
 
     def parse_unit() -> PropFormula:
-        kind, textval, column = advance()
+        kind, textval, token_line, column = advance()
         if kind == "(":
             inner = parse_expr()
             closing = advance()
             if closing[0] != ")":
-                raise ParseError("expected ')'", line, closing[2])
+                raise ParseError("expected ')'", *closing[2:])
             return inner
         if kind == "!":
-            kind2, text2, col2 = advance()
+            kind2, text2, line2, col2 = advance()
             if kind2 != "var":
-                raise ParseError("'!' must be followed by a variable", line, col2)
+                raise ParseError("'!' must be followed by a variable", line2, col2)
             return PLit(int(text2[1:]), positive=False)
         if kind == "var":
             return PLit(int(textval[1:]), positive=True)
-        raise ParseError(f"unexpected {textval or 'end of input'!r}", line, column)
+        raise ParseError(f"unexpected {textval or 'end of input'!r}", token_line, column)
 
     def parse_expr() -> PropFormula:
         first = parse_unit()
@@ -257,12 +257,12 @@ def parse_prop(text: str) -> PropFormula:
             advance()
             parts.append(parse_unit())
         if peek()[0] in ("&", "|"):
-            raise ParseError("mixing '&' and '|' requires parentheses", line, peek()[2])
+            raise ParseError("mixing '&' and '|' requires parentheses", *peek()[2:])
         return PAnd(tuple(parts)) if op == "&" else POr(tuple(parts))
 
     result = parse_expr()
     if peek()[0] != "eof":
-        raise ParseError(f"unexpected trailing input {peek()[1]!r}", line, peek()[2])
+        raise ParseError(f"unexpected trailing input {peek()[1]!r}", *peek()[2:])
     return result
 
 

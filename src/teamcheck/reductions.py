@@ -187,6 +187,8 @@ def encode_clique(graph: Graph, k: int) -> WtInstance:
     direction of that encoding is exercised experimentally, not assumed;
     see the clique experiment in ``verify``.
     """
+    if k < 0:
+        raise ValueError("solution size must be nonnegative")
     structure = graph_structure(graph)
     if k == 0:
         return _trivial_yes(structure)

@@ -17,12 +17,10 @@ the search tractable without changing verdicts or witnesses:
 ``solve_path`` is the one table from fragment to check: first-order
 formulas are decided by one compiled ``row_test`` per row, inclusion
 formulas by the polynomial fixpoint, dependence formulas by the strict
-evaluator, everything else by the generic lax evaluator.
-``fast_path="off"`` forces the generic evaluator for every check (pruning
-then also uses it; it still decides first-order subformulas row by row).
-``compile_check`` builds the chosen check once, as a function of a bare row
-set; the fixpoint accepts a row set ``R`` when its maximal satisfying
-subset is ``R`` itself.  ``wt_solve`` builds it once per search, after the
+evaluator, everything else by the generic lax evaluator; nothing overrides
+it.  ``compile_check`` builds the chosen check once, as a function of a
+bare row set; the fixpoint accepts a row set ``R`` when its maximal
+satisfying subset is ``R`` itself.  ``wt_solve`` builds it once per search, after the
 counting cut; a sentence is searched like any formula, over the one row
 ``()``.  ``check_sentence`` and ``teamcheck check`` run the same check.
 
@@ -49,7 +47,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .errors import EvaluationError
-from .evaluator import DEFAULT_CACHE_ENTRIES, Rows, _Evaluator, eval_fo_tarski, row_test
+from .evaluator import Rows, _Evaluator, eval_fo_tarski, row_test
 from .formulas import (
     Formula,
     FragmentReport,
@@ -123,18 +121,13 @@ def colex_subsets(
     yield from rec(indices, (), k)
 
 
-def solve_path(report: FragmentReport, fast_path: str = "auto") -> str:
+def solve_path(report: FragmentReport) -> str:
     """The check that decides teams of a classified formula, sentences included.
 
-    ``generic`` (the lax evaluator) whenever ``fast_path`` is ``"off"``, and
-    otherwise by fragment: ``fo-counting`` (one row test per row) for FO,
+    By fragment: ``fo-counting`` (one row test per row) for FO,
     ``inclusion-fixpoint`` for FO(inc), ``strict`` for FO(dep), ``generic``
-    for the rest.
+    (the lax evaluator) for the rest.
     """
-    if fast_path not in ("auto", "off"):
-        raise ValueError("fast_path must be 'auto' or 'off'")
-    if fast_path == "off":
-        return "generic"
     return {"FO": "fo-counting", "FO(inc)": "inclusion-fixpoint", "FO(dep)": "strict"}.get(
         report.fragment, "generic"
     )
@@ -145,34 +138,29 @@ def compile_check(
     formula: Formula,
     variables: tuple[str, ...],
     path: str,
-    max_cache_entries: int = DEFAULT_CACHE_ENTRIES,
 ) -> Callable[[Rows], bool]:
     """Row set over the sorted ``variables`` -> does it satisfy ``formula``, by ``path``'s check.
 
     Compiled once.  Callers check that ``variables`` hold the free variables
-    and that every value is an element of the structure.
+    and that every value is an element of the structure.  ``"strict"``
+    agrees with the lax reading only without inclusion or independence atoms.
     """
     if path == "inclusion-fixpoint":
         maximal = compile_max(structure, variables, formula)
         return lambda rows: maximal(rows) == rows
     # either evaluator compiles a first-order formula to one row test per row
-    return _Evaluator(structure, path == "strict", max_cache_entries).node(formula, variables)
+    return _Evaluator(structure, path == "strict").node(formula, variables)
 
 
-def check_sentence(structure: Structure, formula: Formula, *, max_cache_entries: int = DEFAULT_CACHE_ENTRIES) -> bool:
+def check_sentence(structure: Structure, formula: Formula) -> bool:
     """Truth of a sentence: whether the one-row team ``{()}`` satisfies it."""
     if free_vars(formula):
         raise EvaluationError("check_sentence expects a sentence without free variables")
     path = solve_path(classify(formula))
-    return compile_check(structure, formula, (), path, max_cache_entries)(frozenset({()}))
+    return compile_check(structure, formula, (), path)(frozenset({()}))
 
 
-def wt_solve(
-    instance: WtInstance,
-    *,
-    fast_path: str = "auto",
-    max_cache_entries: int = DEFAULT_CACHE_ENTRIES,
-) -> Team | None:
+def wt_solve(instance: WtInstance) -> Team | None:
     """First witnessing team of exactly ``k`` rows, or ``None``.
 
     ``k = 0`` always yields the empty team (every formula holds on it).
@@ -181,7 +169,7 @@ def wt_solve(
     structure, formula, k = instance.structure, instance.formula, instance.k
     variables = tuple(sorted(free_vars(formula)))
     report = classify(formula)
-    path = solve_path(report, fast_path)
+    path = solve_path(report)
     if k == 0:
         return Team.empty(variables)
     rows = canonical_rows(structure.domain_size, variables)
@@ -194,7 +182,7 @@ def wt_solve(
     if len(allowed_indices) < k:
         return None
     # compiled only now: searches settled by counting rows never pay for it
-    check = compile_check(structure, formula, variables, path, max_cache_entries)
+    check = compile_check(structure, formula, variables, path)
 
     extendable = None
     if not report.atoms & {"inc", "indep"}:

@@ -107,15 +107,13 @@ class TestCheck:
         assert payload["path"] == "inclusion-fixpoint"
 
 
-    @pytest.mark.parametrize("formula, mode, path", [
-        ("dep(x;y) | !E(x,y)", "auto", "strict"),
-        (CLIQUE_FORMULA, "auto", "inclusion-fixpoint"),
-        ("exists u (E(x,u) & E(u,y))", "auto", "fo-counting"),
-        ("indep(;x;y)", "auto", "generic"),
-        ("dep(x;y) | !E(x,y)", "off", "generic"),
-        (CLIQUE_FORMULA, "off", "generic"),
+    @pytest.mark.parametrize("formula, path", [
+        ("dep(x;y) | !E(x,y)", "strict"),
+        (CLIQUE_FORMULA, "inclusion-fixpoint"),
+        ("exists u (E(x,u) & E(u,y))", "fo-counting"),
+        ("indep(;x;y)", "generic"),
     ])
-    def test_json_path_names_the_check_and_keeps_the_verdict(self, tmp_path, capsys, formula, mode, path):
+    def test_json_path_names_the_check_and_keeps_the_verdict(self, tmp_path, capsys, formula, path):
         structure_text = "domain 3\nrel E/2 : (0,1) (1,2) (2,0) (1,1)\n"
         structure_file = tmp_path / "s.structure"
         structure_file.write_text(structure_text)
@@ -130,7 +128,7 @@ class TestCheck:
                 team_file.write_text(render_team(team))
                 code = main([
                     "check", "--structure", str(structure_file), "--formula", formula,
-                    "--team", str(team_file), "--fast-path", mode, "--json",
+                    "--team", str(team_file), "--json",
                 ])
                 payload = json.loads(capsys.readouterr().out)
                 expected = eval_team(structure, team, parsed)
@@ -167,28 +165,29 @@ class TestSolve:
         assert code == 1
         assert capsys.readouterr().out.splitlines()[0] == "UNSAT"
 
-    def test_fast_path_flag_accepted(self, tmp_path, capsys):
-        structure = tmp_path / "s.structure"
-        structure.write_text("domain 2\nrel E/2 : (0,1)\n")
-        for mode in ("auto", "off"):
-            code = main([
-                "solve", "--structure", str(structure), "--formula", "E(x,y)",
-                "-k", "1", "--fast-path", mode,
-            ])
-            assert code == 0
-        outs = capsys.readouterr().out
-        assert outs.count("SAT") == 2
-
     def test_json_reports_the_path(self, tmp_path, capsys):
         structure = tmp_path / "k3.structure"
         structure.write_text(K3_STRUCTURE)
-        for mode, path in (("auto", "inclusion-fixpoint"), ("off", "generic")):
-            code = main([
-                "solve", "--structure", str(structure), "--formula", CLIQUE_FORMULA,
-                "-k", "6", "--fast-path", mode, "--json",
-            ])
-            assert code == 0
-            assert json.loads(capsys.readouterr().out)["path"] == path
+        code = main([
+            "solve", "--structure", str(structure), "--formula", CLIQUE_FORMULA,
+            "-k", "6", "--json",
+        ])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["path"] == "inclusion-fixpoint"
+
+
+class TestNoCheckOptions:
+    """The fragment picks every check, so `check` and `solve` take no option that tunes it."""
+
+    @pytest.mark.parametrize("option", [["--fast-path", "off"], ["--max-cache", "5"]], ids=["fast-path", "max-cache"])
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_removed_options_exit_two(self, k3_files, capsys, command, option):
+        structure, team = k3_files
+        operand = ["--team", str(team)] if command == "check" else ["-k", "1"]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--structure", str(structure), "--formula", "E(x,y)", *operand, *option])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDeepFormulas:
@@ -262,6 +261,17 @@ class TestReduce:
             "reduce", "clique", "--input", str(graph), "-k", "2", "--out", str(tmp_path / "x"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("problem", ["clique", "domset", "indset"])
+    def test_negative_k_is_exit_two(self, tmp_path, capsys, problem):
+        graph = tmp_path / "k3.graph"
+        graph.write_text("p 3 3\ne 0 1\ne 1 2\ne 0 2\n")
+        code = main([
+            "reduce", problem, "--input", str(graph), "-k", "-1", "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert "nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "x.formula").exists()
 
 
 class TestVerify:

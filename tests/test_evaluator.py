@@ -21,7 +21,7 @@ from teamcheck.formulas import And, Exists, Forall, Or, atom_set, free_vars, is_
 from teamcheck.inclusion import compile_max, eval_inclusion
 from teamcheck.model import Structure, Team, Vocabulary, canonical_rows
 from teamcheck.reductions import Graph, encode_indset
-from teamcheck.solver import check_sentence
+from teamcheck.solver import check_sentence, compile_check
 from teamcheck.verify import INCLUSION_TEMPLATES
 
 GRAPH_VOCAB = Vocabulary(relations=(("E", 2),))
@@ -33,6 +33,11 @@ def graph_structure(n, directed_edges):
 
 def k3():
     return graph_structure(3, [(a, b) for a in range(3) for b in range(3) if a != b])
+
+
+def strict_check(structure, team, formula):
+    """The strict reading, through ``compile_check``, its one entry point."""
+    return compile_check(structure, formula, team.variables, "strict")(team.rows)
 
 
 class TestAtoms:
@@ -105,7 +110,7 @@ class TestIndependentSetExample:
         for rows in [[(0,), (2,)], [(0,), (1,)]]:
             team = Team.make(["x"], rows)
             lax = eval_team(self.instance.structure, team, self.instance.formula)
-            strict = eval_team(self.instance.structure, team, self.instance.formula, strict=True)
+            strict = strict_check(self.instance.structure, team, self.instance.formula)
             assert lax == strict
 
 
@@ -136,10 +141,6 @@ class TestLaxSearch:
 
 
 class TestStrictMode:
-    def test_rejects_inclusion_atoms(self):
-        with pytest.raises(EvaluationError):
-            eval_team(k3(), Team.empty(["x", "y"]), parse("inc(x;y)"), strict=True)
-
     def test_agrees_with_lax_on_dependence_corpus(self):
         structure = graph_structure(3, [(0, 1), (1, 2), (2, 0)])
         formulas = [
@@ -155,9 +156,8 @@ class TestStrictMode:
             for size in (0, 1, 2, 3):
                 for combo in itertools.combinations(rows, size):
                     team = Team.make(["x", "y"], combo)
-                    assert eval_team(structure, team, formula) == eval_team(
-                        structure, team, formula, strict=True
-                    ), (text, combo)
+                    strict = strict_check(structure, team, formula)
+                    assert eval_team(structure, team, formula) == strict, (text, combo)
 
 
 class TestTarski:
@@ -441,7 +441,7 @@ class TestAgainstDefinitions:
         case = (render(formula), structure.domain_size, structure.relations, sorted(team.rows))
         assert eval_team(structure, team, formula) == satisfies(structure, rows, formula), case
         if not atom_set(formula) & {"inc", "indep"}:
-            strict = eval_team(structure, team, formula, strict=True)
+            strict = strict_check(structure, team, formula)
             assert strict == satisfies(structure, rows, formula, strict=True), case
 
     @pytest.mark.parametrize("fragment", ["FO(dep)", "FO(indep)", "FO(inc)"])
@@ -557,7 +557,7 @@ class TestQuantifiedFirstOrder:
         monkeypatch.setattr(evaluator_module, "extension_memo", recording)
         structure = graph_structure(3, [(0, 1), (1, 2), (2, 0), (1, 1)])
         path = parse("exists u (E(x,u) & E(u,y))")
-        evaluator = _Evaluator(structure, strict, 1 << 20)
+        evaluator = _Evaluator(structure, strict)
         node = evaluator.node(Or(parse("dep(;x)"), path), ("x", "y"))
         # no quantifier extension is compiled, and the team atom beside the
         # path is the only node with a row-set memo
@@ -630,13 +630,14 @@ class TestExistsNarrowing:
         # Nothing has an edge into 2, so a row with y=2 has no passing u.
         structure = graph_structure(3, [(0, 1), (1, 0), (0, 0)])
         calls = self.count_calls(monkeypatch, method)
+        decide = strict_check if strict else eval_team
         team = Team.make(["x", "y"], [(0, 0), (1, 1), (2, 0), (0, 2)])
-        assert eval_team(structure, team, parse(text), strict=strict) is False
+        assert decide(structure, team, parse(text)) is False
         assert calls[method] == 0
         # No row has one: the first row decides, and no other row is narrowed.
         calls.clear()
         team = Team.make(["x", "y"], [(0, 2), (1, 2), (2, 2)])
-        assert eval_team(structure, team, parse(text), strict=strict) is False
+        assert decide(structure, team, parse(text)) is False
         assert calls[method] == 0 and calls[parse("E(u,y)")] == 3
 
     def test_a_satisfiable_team_tries_only_covers_of_the_passing_extensions(self, monkeypatch):
@@ -672,7 +673,7 @@ class TestExistsNarrowing:
 
 
 class TestCacheBound:
-    """``max_cache_entries`` bounds the memo entries; verdicts never depend on it."""
+    """``MAX_CACHE_ENTRIES`` bounds the memo entries; verdicts never depend on it."""
 
     @staticmethod
     def grid():
@@ -687,24 +688,28 @@ class TestCacheBound:
                     for combo in itertools.combinations(rows, size):
                         yield structure, Team(variables, frozenset(combo)), formula
 
-    def test_bounds_zero_and_one_keep_the_verdicts(self):
-        for structure, team, formula in self.grid():
-            expected = eval_team(structure, team, formula)
-            for bound in (0, 1):
-                assert eval_team(structure, team, formula, max_cache_entries=bound) == expected, (
-                    render(formula), sorted(team.rows), bound,
-                )
+    def test_bounds_zero_and_one_keep_the_verdicts(self, monkeypatch):
+        import teamcheck.evaluator as evaluator_module
 
-    def test_memo_entries_never_exceed_the_bound(self):
+        cases = [(*case, eval_team(*case)) for case in self.grid()]
+        for bound in (0, 1):
+            monkeypatch.setattr(evaluator_module, "MAX_CACHE_ENTRIES", bound)
+            for structure, team, formula, expected in cases:
+                assert eval_team(structure, team, formula) == expected, (render(formula), sorted(team.rows), bound)
+
+    def test_memo_entries_never_exceed_the_bound(self, monkeypatch):
+        import teamcheck.evaluator as evaluator_module
+
         unbounded = 0
+        default = evaluator_module.MAX_CACHE_ENTRIES
         for structure, team, formula in self.grid():
-            for bound in (0, 1, 7):
-                evaluator = _Evaluator(structure, False, bound)
+            for bound in (0, 1, 7, default):
+                monkeypatch.setattr(evaluator_module, "MAX_CACHE_ENTRIES", bound)
+                evaluator = _Evaluator(structure)
                 evaluator.check(team, formula)
-                assert sum(map(len, evaluator.memos)) <= bound
-            evaluator = _Evaluator(structure, False, 1 << 20)
-            evaluator.check(team, formula)
-            unbounded = max(unbounded, sum(map(len, evaluator.memos)))
+                entries = sum(map(len, evaluator.memos))
+                assert entries <= bound
+            unbounded = max(unbounded, entries)
         assert unbounded > 7  # the small bounds did refuse inserts
 
     @pytest.mark.parametrize("strict", [False, True])
@@ -726,7 +731,8 @@ class TestCacheBound:
         monkeypatch.setattr(_Evaluator, "_dep", counting)
         n = 8
         team = Team.make(["x"], [(a,) for a in range(n)])
-        assert not eval_team(graph_structure(n, []), team, parse("dep(;x) | dep(;x) | dep(;x)"), strict=strict)
+        decide = strict_check if strict else eval_team
+        assert not decide(graph_structure(n, []), team, parse("dep(;x) | dep(;x) | dep(;x)"))
         assert 0 < len(calls) <= 2 ** n
 
     @pytest.mark.parametrize("strict", [False, True])
@@ -738,7 +744,7 @@ class TestCacheBound:
         formula = parse("forall v exists u (dep(;u) | (dep(x;y) & E(u,v)))")
         gc.disable()
         try:
-            evaluator = _Evaluator(structure, strict, 1 << 20)
+            evaluator = _Evaluator(structure, strict)
             evaluator.check(team, formula)
             assert sum(map(len, evaluator.memos)) > 0
             alive = weakref.ref(evaluator)

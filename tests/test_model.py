@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamcheck.errors import ParseError
+from teamcheck.evaluator import eval_team
+from teamcheck.formulas import parse
 from teamcheck.model import (
     Structure,
     Team,
@@ -246,6 +248,20 @@ class TestStructureFormat:
         # "²".isdigit() holds but int("²") raises; int("٢") is 2
         with pytest.raises(ParseError, match=f"line {line}, column 1"):
             parse_structure(text)
+
+    @pytest.mark.parametrize(
+        "declaration",
+        ["rel É/1 : (0)", "rel 9a/1 : (0)", "rel dep/1 : (0)", "rel exists/1 :", "const forall = 1", "const É = 1"],
+    )
+    def test_names_formulas_cannot_read_are_parse_errors(self, declaration):
+        # formulas.parse could never refer to these symbols
+        with pytest.raises(ParseError, match="line 3, column 1"):
+            parse_structure(f"domain 2\n\n{declaration}\n")
+
+    def test_symbol_names_round_trip_through_formulas(self):
+        structure = parse_structure("domain 2\nrel _E9/2 : (0,1)\nrel Inc/1 : (1)\nconst c_0 = 1\n")
+        formula = parse("_E9(x,c_0) & Inc(c_0)", structure.vocabulary)
+        assert eval_team(structure, Team.make(["x"], [(0,)]), formula)
 
 
 class TestTeamFormat:

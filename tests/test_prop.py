@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -45,6 +46,21 @@ class TestParseProp:
         assert render_prop(formula) == text
         with pytest.raises(ParseError, match=f"line 1, column {len(text) + 2}: mixing"):
             parse_prop(text + " | x1")
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            (")\n\n", "line 1, column 1: unexpected ')'"),
+            ("(x1\n  x2)\n\n", "line 2, column 3: expected ')'"),
+            ("x1 &\n!(\n", "line 2, column 2: '!' must be followed"),
+            ("x1 &\n x2 | x3\n\n", "line 2, column 5: mixing"),
+            ("x1\n\n x2\n", "line 3, column 2: unexpected trailing input"),
+            ("x1 &\n\n", "line 3, column 1: unexpected 'end of input'"),
+        ],
+    )
+    def test_errors_report_the_line_of_the_bad_token(self, text, where):
+        with pytest.raises(ParseError, match=f"^{re.escape(where)}"):
+            parse_prop(text)
 
 
 class TestGammaClass:

@@ -122,6 +122,11 @@ class TestEncoders:
     def test_indset_single_vertex_always_works(self):
         assert wt_solve(encode_indset(pentagon(), 1)) is not None
 
+    @pytest.mark.parametrize("encode", [encode_clique, encode_domset, encode_indset])
+    def test_negative_k_is_rejected(self, encode):
+        with pytest.raises(ValueError, match="nonnegative"):
+            encode(pentagon(), -1)
+
     def test_oversized_k_guard_is_unsatisfiable(self):
         assert wt_solve(encode_indset(Graph.make(2, [(0, 1)]), 5)) is None
         assert wt_solve(encode_clique(Graph.make(2, [(0, 1)]), 5)) is None

@@ -85,15 +85,16 @@ class TestWtSolve:
         assert witness.variables == ("z",)
         assert eval_team(instance.structure, witness, instance.formula)
 
-    def test_fast_path_off_gives_same_witness(self):
-        # generic evaluation of the forall/exists shape is exponential, so the
-        # cross-check runs on a two-vertex graph; the reduction suite covers
-        # the fixpoint path at scale
-        for k in (1, 2):
-            instance = encode_domset(Graph.make(2, [(0, 1)]), k)
-            assert wt_solve(instance) == wt_solve(instance, fast_path="off")
-        flat = encode_clique(Graph.make(3, [(0, 1), (1, 2), (0, 2)]), 2)
-        assert wt_solve(flat) == wt_solve(flat, fast_path="off")
+    def test_witness_matches_exhaustive_search(self):
+        # exhaustive evaluation of the forall/exists shape is exponential, so
+        # the cross-check runs on a two-vertex graph; the reduction suite
+        # covers the fixpoint path at scale
+        instances = [encode_domset(Graph.make(2, [(0, 1)]), k) for k in (1, 2)]
+        instances.append(encode_clique(Graph.make(3, [(0, 1), (1, 2), (0, 2)]), 2))
+        for instance in instances:
+            expected = _reference_wt_witness(instance.structure, instance.formula, instance.k)
+            assert expected is not None
+            assert wt_solve(instance) == expected
 
     def test_exact_size_is_not_monotone_for_independence(self):
         # teams satisfying unconditional independence have rectangle sizes:
@@ -144,17 +145,15 @@ class TestWtSolveFo:
         assert 0 < len(satisfying) < 3
         for k in range(len(satisfying) + 2):
             expected = Team(("x",), frozenset(satisfying[:k])) if k <= len(satisfying) else None
-            for mode in ("auto", "off"):
-                assert wt_solve(WtInstance(structure, formula, k), fast_path=mode) == expected, (k, mode)
+            assert wt_solve(WtInstance(structure, formula, k)) == expected, k
 
     def test_agrees_with_tarski_count(self):
         structure = structure_with_edges(3, [(0, 1), (1, 2)])
         formula = parse("exists y E(x,y)", GRAPH_VOCAB)
         count = sum(eval_fo_tarski(structure, {"x": a}, formula) for a in range(3))
         for k in range(0, 5):
-            for mode in ("auto", "off"):
-                witness = wt_solve(WtInstance(structure, formula, k), fast_path=mode)
-                assert (witness is not None) == (k <= count), (k, mode)
+            witness = wt_solve(WtInstance(structure, formula, k))
+            assert (witness is not None) == (k <= count), k
 
 
 class TestWtSolveSentence:
@@ -186,9 +185,7 @@ class TestWtSolveSentence:
         structure = structure_with_edges(3, [(0, 1), (1, 2), (2, 0)])
         sentence = parse(text, GRAPH_VOCAB)
         truth = eval_team(structure, Team.singleton_empty_assignment(), sentence)
-        for mode in ("auto", "off"):
-            witness = wt_solve(WtInstance(structure, sentence, 1), fast_path=mode)
-            assert (witness is not None) == truth, mode
+        assert (wt_solve(WtInstance(structure, sentence, 1)) is not None) == truth
 
 
 class TestWeightedDefinability:
