@@ -12,15 +12,17 @@ inclusion formulas (the fixpoint in ``inclusion``).
 The evaluator compiles each (formula, variable order) pair once into a tree
 of nodes.  A node is a function from a bare ``frozenset`` of rows (value
 tuples aligned with the variable order) to a bool; no ``Team`` is built
-during the search.  The compile step settles everything that depends only
-on the formula:
+during the search.  The compile step reads the facts each formula node
+carries (first-order or not, free variables, its cached hash), so it walks
+no subtree twice, and settles everything that depends only on the formula:
 
 * structurally equal subformulas over the same variables share one node;
 * every term is resolved to a column index or a constant (``term_values``);
-* each quantifier fixes its extended variable order and insertion position
-  (``model.extension_memo``);
+* each quantifier takes its extended variable order and per-row extensions
+  from ``model.extension_memo``, which every structure with the same
+  domain size shares while the memo is small;
 * an existential keeps, per row, only the extensions that pass the
-  first-order conjuncts of its body (``formulas.first_order_conjuncts``),
+  first-order conjuncts of its body (``formulas.first_order_part``),
   since a supplemented team satisfies the body only if every row does; a
   nonempty team with a row that has none fails without a search;
 * a first-order subformula, quantified or not, becomes one row test
@@ -75,10 +77,7 @@ from .formulas import (
     Rel,
     Term,
     Var,
-    and_all,
-    first_order_conjuncts,
-    free_vars,
-    is_first_order,
+    first_order_part,
 )
 from .model import Memo, Row, Structure, Team, extension_memo
 
@@ -342,7 +341,7 @@ class _Evaluator:
         node = self.node(formula, variables)
         operand = self.operands.get(node)
         if operand is None:
-            operand = self.operands[node] = node if is_first_order(formula) else self._memoised(node)
+            operand = self.operands[node] = node if formula.first_order else self._memoised(node)
         return operand
 
     def _memoised(self, decide: Node) -> Node:
@@ -364,7 +363,7 @@ class _Evaluator:
     # -- compile dispatch ---------------------------------------------------
 
     def _compile(self, formula: Formula, variables: tuple[str, ...]) -> Node:
-        if is_first_order(formula):
+        if formula.first_order:
             truth = Memo(row_test(self.structure, formula, variables))
             return lambda rows: all(map(truth.__getitem__, rows))
         if isinstance(formula, Dep):
@@ -381,7 +380,7 @@ class _Evaluator:
         if isinstance(formula, Exists):
             return (self._exists_strict if self.strict else self._exists_lax)(formula, variables)
         if isinstance(formula, Forall):
-            extended, extensions = extension_memo(self.structure, variables, formula.variable)
+            extended, extensions = extension_memo(self.structure.domain_size, variables, formula.variable)
             body = self.node(formula.body, extended)
             return lambda rows: body(frozenset(chain.from_iterable(map(extensions.__getitem__, rows))))
         raise EvaluationError(f"not a formula: {formula!r}")
@@ -459,10 +458,10 @@ class _Evaluator:
         extension sets equal (the rows differ only in the quantified
         variable) or disjoint.
         """
-        extended, extensions = extension_memo(self.structure, variables, formula.variable)
-        conjuncts = first_order_conjuncts(formula.body)
-        if conjuncts:
-            passes = Memo(row_test(self.structure, and_all(conjuncts), extended))
+        extended, extensions = extension_memo(self.structure.domain_size, variables, formula.variable)
+        part = first_order_part(formula.body)
+        if part is not None:
+            passes = Memo(row_test(self.structure, part, extended))
             every = extensions
             extensions = Memo(lambda row: tuple(filter(passes.__getitem__, every[row])))
         return extensions, self.node(formula.body, extended)
@@ -498,9 +497,9 @@ class _Evaluator:
     # -- strict clauses -----------------------------------------------------
 
     def _or_strict(self, formula: Or, variables: tuple[str, ...]) -> Node:
-        for first_order, other in ((formula.left, formula.right), (formula.right, formula.left)):
-            if is_first_order(first_order):
-                truth = Memo(row_test(self.structure, first_order, variables))
+        for peeled, other in ((formula.left, formula.right), (formula.right, formula.left)):
+            if peeled.first_order:
+                truth = Memo(row_test(self.structure, peeled, variables))
                 rest = self.operand(other, variables)
                 return lambda rows: rest(frozenset(filterfalse(truth.__getitem__, rows)))
         left, right = self.operand(formula.left, variables), self.operand(formula.right, variables)
@@ -540,7 +539,7 @@ def eval_team(structure: Structure, team: Team, formula: Formula) -> bool:
     structure.  Every formula is satisfied by the empty team.
     """
     require_in_domain(structure, team)
-    missing = free_vars(formula) - team.domain()
+    missing = formula.free - team.domain()
     if missing:
         raise EvaluationError(f"free variables {sorted(missing)} are not in the team domain")
     return _Evaluator(structure).check(team, formula)

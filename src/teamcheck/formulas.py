@@ -15,13 +15,24 @@ The independence atom is written with the conditioning tuple first:
 ``indep(c;a;b)`` states that ``a`` and ``b`` vary independently among rows
 agreeing on ``c``.  ``dep(;y)`` (empty first slot) states that ``y`` is
 constant.
+
+Every node carries the facts that depend on the formula alone: its free
+variables (``free``), the team atoms that occur in it (``atoms``), whether
+it is first-order (``first_order``) or quantifier-free
+(``quantifier_free``), and its hash.  A node sets them when it is built,
+from its own terms and its children's facts, so reading them is an
+attribute read and walks nothing, however deep the formula; a formula
+parsed once and solved on many structures is analysed once.
+``classify`` and ``first_order_part`` are computed once per node and kept
+on it.  None of this takes part in
+equality, ``repr`` or ``render``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field, fields
+from functools import reduce, wraps
 
 from .errors import ParseError
 from .model import KEYWORDS, NAME, Vocabulary
@@ -48,35 +59,94 @@ Terms = tuple[Term, ...]
 
 # --- formulas ----------------------------------------------------------------
 
+_FACT = {"init": False, "compare": False, "repr": False}
+
+
+@dataclass(frozen=True)
 class Formula:
-    __slots__ = ()
+    """A formula node; the fields declared here are its facts (see the module docstring)."""
+
+    free: frozenset[str] = field(**_FACT)  # free variables
+    atoms: frozenset[str] = field(**_FACT)  # the team atoms that occur: "dep", "inc", "indep"
+    first_order: bool = field(**_FACT)  # no team atom, hence flat: a team satisfies it iff every row does
+    quantifier_free: bool = field(**_FACT)
+    hash_value: int = field(**_FACT)
+
+    def __hash__(self) -> int:
+        return self.hash_value
+
+    def __reduce__(self):
+        # rebuilt by the constructor, so facts and hash are the receiving process's
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+    def _set(self, free: frozenset[str], atoms: frozenset[str], quantifier_free: bool, hash_value: int) -> None:
+        facts = self.__dict__  # frozen against assignment only
+        facts["free"] = free
+        facts["atoms"] = atoms
+        facts["first_order"] = not atoms
+        facts["quantifier_free"] = quantifier_free
+        facts["hash_value"] = hash_value
 
 
-@dataclass(frozen=True)
-class Eq(Formula):
+def _node(cls):
+    """A frozen dataclass formula node; ``dataclass`` would replace the cached hash.
+
+    A node class that adds no fields is a plain subclass of one: it inherits
+    the fields, the hash, ``repr`` and equality, which compares classes.
+    """
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+def _term_vars(terms: Terms) -> frozenset[str]:
+    names = set()
+    for term in terms:
+        if isinstance(term, Var):
+            names.add(term.name)
+    return frozenset(names)
+
+
+_NO_ATOMS: frozenset[str] = frozenset()
+_DEP, _INC, _INDEP = frozenset({"dep"}), frozenset({"inc"}), frozenset({"indep"})
+
+
+@_node
+class _Comparison(Formula):
     left: Term
     right: Term
 
-
-@dataclass(frozen=True)
-class Neq(Formula):
-    left: Term
-    right: Term
+    def __post_init__(self) -> None:
+        terms = (self.left, self.right)
+        self._set(_term_vars(terms), _NO_ATOMS, True, hash((type(self), terms)))
 
 
-@dataclass(frozen=True)
-class Rel(Formula):
+class Eq(_Comparison):
+    """left = right"""
+
+
+class Neq(_Comparison):
+    """left != right"""
+
+
+@_node
+class _Literal(Formula):
     name: str
     terms: Terms
 
-
-@dataclass(frozen=True)
-class NegRel(Formula):
-    name: str
-    terms: Terms
+    def __post_init__(self) -> None:
+        self._set(_term_vars(self.terms), _NO_ATOMS, True, hash((type(self), self.name, self.terms)))
 
 
-@dataclass(frozen=True)
+class Rel(_Literal):
+    """name(terms)"""
+
+
+class NegRel(_Literal):
+    """!name(terms)"""
+
+
+@_node
 class Dep(Formula):
     """dep(determinants; determined): the first tuple fixes the second."""
 
@@ -86,9 +156,11 @@ class Dep(Formula):
     def __post_init__(self) -> None:
         if not self.determined:
             raise ValueError("dependence atom needs at least one determined term")
+        determinants, determined = self.determinants, self.determined
+        self._set(_term_vars(determinants + determined), _DEP, True, hash((Dep, determinants, determined)))
 
 
-@dataclass(frozen=True)
+@_node
 class Inc(Formula):
     """inc(left; right): every left-tuple value occurs as a right-tuple value."""
 
@@ -98,9 +170,10 @@ class Inc(Formula):
     def __post_init__(self) -> None:
         if not self.left or len(self.left) != len(self.right):
             raise ValueError("inclusion atom needs two nonempty tuples of equal length")
+        self._set(_term_vars(self.left + self.right), _INC, True, hash((Inc, self.left, self.right)))
 
 
-@dataclass(frozen=True)
+@_node
 class Indep(Formula):
     """indep(condition; left; right): left and right vary freely given the condition."""
 
@@ -111,34 +184,49 @@ class Indep(Formula):
     def __post_init__(self) -> None:
         if not self.left or not self.right:
             raise ValueError("independence atom needs nonempty left and right tuples")
+        condition, left, right = self.condition, self.left, self.right
+        self._set(_term_vars(condition + left + right), _INDEP, True, hash((Indep, condition, left, right)))
 
 
-@dataclass(frozen=True)
-class And(Formula):
+@_node
+class _Connective(Formula):
     left: Formula
     right: Formula
 
+    def __post_init__(self) -> None:
+        left, right = self.left, self.right
+        self._set(
+            left.free | right.free,
+            left.atoms | right.atoms,
+            left.quantifier_free and right.quantifier_free,
+            hash((type(self), left.hash_value, right.hash_value)),
+        )
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+
+class And(_Connective):
+    """left & right"""
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
+class Or(_Connective):
+    """left | right"""
+
+
+@_node
+class _Quantifier(Formula):
     variable: str
     body: Formula
 
-
-@dataclass(frozen=True)
-class Forall(Formula):
-    variable: str
-    body: Formula
+    def __post_init__(self) -> None:
+        variable, body = self.variable, self.body
+        self._set(body.free - {variable}, body.atoms, False, hash((type(self), variable, body.hash_value)))
 
 
-ATOM_KINDS = (Eq, Neq, Rel, NegRel, Dep, Inc, Indep)
-TEAM_ATOM_NAMES = {Dep: "dep", Inc: "inc", Indep: "indep"}
+class Exists(_Quantifier):
+    """exists variable body"""
+
+
+class Forall(_Quantifier):
+    """forall variable body"""
 
 
 def and_all(parts: list[Formula]) -> Formula:
@@ -153,70 +241,52 @@ def or_all(parts: list[Formula]) -> Formula:
     return reduce(Or, parts)
 
 
-def _term_vars(terms: Terms) -> frozenset[str]:
-    return frozenset(t.name for t in terms if isinstance(t, Var))
-
-
 def free_vars(formula: Formula) -> frozenset[str]:
     """Free variables; atoms bind nothing, quantifiers bind their variable."""
-    if isinstance(formula, (Eq, Neq)):
-        return _term_vars((formula.left, formula.right))
-    if isinstance(formula, (Rel, NegRel)):
-        return _term_vars(formula.terms)
-    if isinstance(formula, Dep):
-        return _term_vars(formula.determinants + formula.determined)
-    if isinstance(formula, Inc):
-        return _term_vars(formula.left + formula.right)
-    if isinstance(formula, Indep):
-        return _term_vars(formula.condition + formula.left + formula.right)
-    if isinstance(formula, (And, Or)):
-        return free_vars(formula.left) | free_vars(formula.right)
-    if isinstance(formula, (Exists, Forall)):
-        return free_vars(formula.body) - {formula.variable}
-    raise TypeError(f"not a formula: {formula!r}")
+    return formula.free
 
 
 def subformulas(formula: Formula):
-    yield formula
-    if isinstance(formula, (And, Or)):
-        yield from subformulas(formula.left)
-        yield from subformulas(formula.right)
-    elif isinstance(formula, (Exists, Forall)):
-        yield from subformulas(formula.body)
+    """Every node, parents before children, left before right."""
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, _Connective):
+            stack += (node.right, node.left)
+        elif isinstance(node, _Quantifier):
+            stack.append(node.body)
 
 
-def atom_set(formula: Formula) -> frozenset[str]:
-    found = set()
-    for sub in subformulas(formula):
-        name = TEAM_ATOM_NAMES.get(type(sub))
-        if name:
-            found.add(name)
-    return frozenset(found)
+def _per_node(analysis):
+    """``analysis(formula)``, computed once per node and kept on it."""
+    name = analysis.__name__
+
+    @wraps(analysis)
+    def cached(formula: Formula):
+        facts = formula.__dict__
+        if name not in facts:
+            facts[name] = analysis(formula)
+        return facts[name]
+
+    return cached
 
 
-def is_quantifier_free(formula: Formula) -> bool:
-    return all(not isinstance(sub, (Exists, Forall)) for sub in subformulas(formula))
+@_per_node
+def first_order_part(formula: Formula) -> Formula | None:
+    """The conjunction of the first-order operands of the top-level ``&`` chain, or ``None``.
 
-
-def is_first_order(formula: Formula) -> bool:
-    """Free of team atoms, hence flat: a team satisfies it exactly when every row does."""
-    if isinstance(formula, (And, Or)):
-        return is_first_order(formula.left) and is_first_order(formula.right)
-    if isinstance(formula, (Exists, Forall)):
-        return is_first_order(formula.body)
-    return isinstance(formula, (Eq, Neq, Rel, NegRel))
-
-
-def first_order_conjuncts(formula: Formula) -> list[Formula]:
-    """The first-order operands of the formula's top-level ``&`` chain (all of it, if first-order).
-
-    A team satisfies the formula only if every row satisfies each of them.
+    The formula itself if it is first-order.  A team satisfies the formula
+    only if every row satisfies this part.
     """
-    if isinstance(formula, And):
-        return first_order_conjuncts(formula.left) + first_order_conjuncts(formula.right)
-    if is_first_order(formula):
-        return [formula]
-    return []
+    conjuncts, stack = [], [formula]
+    while stack:
+        node = stack.pop()
+        if node.first_order:
+            conjuncts.append(node)
+        elif isinstance(node, And):
+            stack += (node.right, node.left)
+    return and_all(conjuncts) if conjuncts else None
 
 
 @dataclass(frozen=True)
@@ -254,9 +324,10 @@ _FRAGMENTS = {
 }
 
 
+@_per_node
 def classify(formula: Formula) -> FragmentReport:
     """Atom set, fragment name, prenex prefix class, and free variables."""
-    atoms = atom_set(formula)
+    atoms = formula.atoms
     fragment = _FRAGMENTS.get(atoms, "mixed")
     body = formula
     quantifiers: list[str] = []
@@ -264,7 +335,7 @@ def classify(formula: Formula) -> FragmentReport:
         quantifiers.append("exists" if isinstance(body, Exists) else "forall")
         body = body.body
     prefix: PrenexPrefix | None
-    if is_quantifier_free(body):
+    if body.quantifier_free:
         blocks = 0
         last = None
         for q in quantifiers:
@@ -274,7 +345,7 @@ def classify(formula: Formula) -> FragmentReport:
         prefix = PrenexPrefix(quantifiers[0] if quantifiers else None, blocks)
     else:
         prefix = None
-    return FragmentReport(atoms, fragment, prefix, free_vars(formula))
+    return FragmentReport(atoms, fragment, prefix, formula.free)
 
 
 # --- rendering ----------------------------------------------------------------

@@ -7,13 +7,15 @@ satisfying subteam: the union of all satisfying subteams.
 ``compile_max`` walks the formula once for a fixed structure and variable
 order and returns a function from a row set to its maximal satisfying
 subset.  Everything that depends only on the formula is settled during
-that walk: the fragment, free-variable, relation and constant checks, the
-column index of every term, and each quantifier's extended variable order
-and insertion position.  The compiled nodes then work on bare
-``frozenset``s of rows, with no ``Team`` objects, and remember per row what
-does not change between calls (literal truth, quantifier extensions), so a
-search that checks many candidate teams compiles once and pays for each
-distinct row once:
+that walk: the fragment and free-variable checks read the facts the
+formula's nodes carry, and the walk resolves relations and constants and
+the column index of every term, and takes each quantifier's extended
+variable order and per-row extensions from ``model.extension_memo``
+(shared, when small, by every structure with the same domain size).  The compiled nodes
+then work on bare ``frozenset``s of rows, with no ``Team`` objects, and
+remember per row what does not change between calls (literal truth,
+quantifier extensions), so a search that checks many candidate teams
+compiles once and pays for each distinct row once:
 
 * a first-order subformula, quantified or not, keeps the rows that satisfy
   its one compiled ``row_test``;
@@ -39,7 +41,7 @@ from typing import Callable, Iterable
 
 from .errors import EvaluationError
 from .evaluator import Rows, require_in_domain, row_test, term_values
-from .formulas import And, Exists, Forall, Formula, Inc, Or, atom_set, free_vars, is_first_order
+from .formulas import And, Exists, Forall, Formula, Inc, Or
 from .model import Memo, Row, Structure, Team, extension_memo
 
 MaxSubteam = Callable[[Rows], Rows]
@@ -52,7 +54,7 @@ def compile_max(structure: Structure, variables: Iterable[str], formula: Formula
     aligned with ``variables``) and returns its maximal satisfying subset.
     Values must be elements of the structure; callers check that.
     """
-    banned = atom_set(formula) & {"dep", "indep"}
+    banned = formula.atoms & {"dep", "indep"}
     if banned:
         raise EvaluationError(
             f"the fixpoint evaluator handles only literals and inclusion atoms, got {sorted(banned)}"
@@ -60,7 +62,7 @@ def compile_max(structure: Structure, variables: Iterable[str], formula: Formula
     variables = tuple(variables)
     if variables != tuple(sorted(set(variables))):
         raise ValueError("team variables must be sorted and distinct")
-    missing = free_vars(formula) - set(variables)
+    missing = formula.free - set(variables)
     if missing:
         raise EvaluationError(f"free variables {sorted(missing)} are not in the team domain")
     return _Compiler(structure).node(formula, variables)
@@ -71,7 +73,7 @@ class _Compiler:
         self.structure = structure
 
     def node(self, formula: Formula, variables: tuple[str, ...]) -> MaxSubteam:
-        if is_first_order(formula):
+        if formula.first_order:
             return self.first_order(formula, variables)
         if isinstance(formula, Inc):
             return self.inclusion(formula, variables)
@@ -120,7 +122,7 @@ class _Compiler:
         return run
 
     def quantifier(self, formula: Exists | Forall, variables: tuple[str, ...]) -> MaxSubteam:
-        extended, extensions = extension_memo(self.structure, variables, formula.variable)
+        extended, extensions = extension_memo(self.structure.domain_size, variables, formula.variable)
         body = self.node(formula.body, extended)
 
         def surviving(rows: Rows) -> tuple[list[tuple[Row, ...]], Rows]:

@@ -12,16 +12,46 @@ pure, so they are safe to share between concurrent workers.  The one
 mutable type is ``Memo``, a per-row cache.  ``extension_memo`` keeps a
 row's extensions by a variable in one; it is the row-extension primitive
 behind ``duplicate``, ``supplement`` and both compiled team evaluators.
+A row's extensions depend on the domain size alone, so one memo per
+(domain size, variable order, variable) serves every structure and call;
+a bounded cache keeps the ``EXTENSION_MEMOS`` most recently used of those
+small enough to keep (``SHARED_EXTENSION_ROWS``), and a larger memo lives
+only as long as its caller holds it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ParseError
+
+
+_CLASH = "relation and constant names must be pairwise distinct"
+
+
+def _check_arity(name: str, arity: object) -> None:
+    if not isinstance(arity, int) or arity < 1:
+        raise ValueError(f"relation {name!r} must have a positive integer arity, got {arity!r}")
+
+
+def _check_constant(name: str, value: int, domain_size: int) -> None:
+    if not (0 <= value < domain_size):
+        raise ValueError(f"constant {name!r} maps outside the domain")
+
+
+def _relation_rows(name: str, arity: int, tuples, domain_size: int) -> frozenset[tuple[int, ...]]:
+    """The tuples as a frozenset, once every one has the arity and lies in the domain."""
+    for tup in tuples:
+        if len(tup) != arity:
+            raise ValueError(f"tuple {tup} has wrong arity for {name!r}/{arity}")
+        if any(not (0 <= v < domain_size) for v in tup):
+            raise ValueError(f"tuple {tup} of {name!r} mentions elements outside the domain")
+    return frozenset(map(tuple, tuples))
 
 
 @dataclass(frozen=True)
@@ -34,10 +64,9 @@ class Vocabulary:
     def __post_init__(self) -> None:
         names = [name for name, _ in self.relations] + list(self.constants)
         if len(set(names)) != len(names):
-            raise ValueError("relation and constant names must be pairwise distinct")
+            raise ValueError(_CLASH)
         for name, arity in self.relations:
-            if not isinstance(arity, int) or arity < 1:
-                raise ValueError(f"relation {name!r} must have a positive integer arity, got {arity!r}")
+            _check_arity(name, arity)
 
     def relation_arity(self, name: str) -> int | None:
         for rel, arity in self.relations:
@@ -67,20 +96,13 @@ class Structure:
         for name, tuples in self.relations.items():
             if name not in declared:
                 raise ValueError(f"relation {name!r} not declared in the vocabulary")
-            arity = declared[name]
-            for tup in tuples:
-                if len(tup) != arity:
-                    raise ValueError(f"tuple {tup} has wrong arity for {name!r}/{arity}")
-                if any(not (0 <= v < self.domain_size) for v in tup):
-                    raise ValueError(f"tuple {tup} of {name!r} mentions elements outside the domain")
-            self.relations[name] = frozenset(tuple(t) for t in tuples)
+            self.relations[name] = _relation_rows(name, declared[name], tuples, self.domain_size)
         for name in declared:
             self.relations.setdefault(name, frozenset())
         for name in self.vocabulary.constants:
             if name not in self.constants:
                 raise ValueError(f"constant {name!r} is not mapped to an element")
-            if not (0 <= self.constants[name] < self.domain_size):
-                raise ValueError(f"constant {name!r} maps outside the domain")
+            _check_constant(name, self.constants[name], self.domain_size)
         for name in self.constants:
             if not self.vocabulary.has_constant(name):
                 raise ValueError(f"constant {name!r} not declared in the vocabulary")
@@ -165,17 +187,37 @@ class Memo(dict):
         return value
 
 
-def extension_memo(structure: Structure, variables: tuple[str, ...], variable: str) -> tuple[tuple[str, ...], Memo]:
+# The shared extension memos: how many are kept, and how many extended rows
+# one may hold, so that the cache's memory stays bounded.
+EXTENSION_MEMOS = 64
+SHARED_EXTENSION_ROWS = 1024
+
+
+def extension_memo(domain_size: int, variables: tuple[str, ...], variable: str) -> tuple[tuple[str, ...], Memo]:
     """The variable order after extending by ``variable``, and per-row extensions.
 
-    An extension memo maps a row to its extensions by every element, in
-    element order; an existing ``variable`` column is overwritten.
+    An extension memo maps a row to its extensions by every element
+    ``0..domain_size-1``, in element order; an existing ``variable`` column
+    is overwritten.  Extensions depend on the domain size alone, so a memo
+    that can hold at most ``SHARED_EXTENSION_ROWS`` extended rows (``n^(w+1)``
+    for domain size ``n`` and ``w`` variables) is shared by every structure
+    of that size, and the ``EXTENSION_MEMOS`` most recently used are kept.
+    A larger one is built afresh and belongs to the caller.
     """
+    if domain_size ** (len(variables) + 1) <= SHARED_EXTENSION_ROWS:
+        return _shared_extension_memo(domain_size, variables, variable)
+    return _extension_memo(domain_size, variables, variable)
+
+
+def _extension_memo(domain_size: int, variables: tuple[str, ...], variable: str) -> tuple[tuple[str, ...], Memo]:
     extended = tuple(sorted(set(variables) | {variable}))
     at = extended.index(variable)
     after = at + 1 if variable in variables else at
-    singletons = tuple((a,) for a in structure.elements)
+    singletons = tuple((a,) for a in range(domain_size))
     return extended, Memo(lambda row: tuple(row[:at] + a + row[after:] for a in singletons))
+
+
+_shared_extension_memo = functools.lru_cache(maxsize=EXTENSION_MEMOS)(_extension_memo)
 
 
 def duplicate(structure: Structure, team: Team, variable: str) -> Team:
@@ -185,7 +227,7 @@ def duplicate(structure: Structure, team: Team, variable: str) -> Team:
     empty.  With a fresh variable and a nonempty team the result has
     exactly ``len(team) * n`` rows.
     """
-    extended, extensions = extension_memo(structure, team.variables, variable)
+    extended, extensions = extension_memo(structure.domain_size, team.variables, variable)
     return Team(extended, frozenset(itertools.chain.from_iterable(map(extensions.__getitem__, team.rows))))
 
 
@@ -202,7 +244,7 @@ def supplement(
     nonempty subset of the domain.  The constant full-domain choice
     coincides with :func:`duplicate`.
     """
-    extended, extensions = extension_memo(structure, team.variables, variable)
+    extended, extensions = extension_memo(structure.domain_size, team.variables, variable)
     rows: set[Row] = set()
     for row in team.rows:
         if row not in values:
@@ -280,18 +322,32 @@ def is_numeral(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-def _symbol(name: str, lineno: int) -> str:
+def _symbol(name: str, lineno: int, lines: dict[str, int]) -> str:
+    """A newly declared symbol's name, recorded with its line."""
     if name in KEYWORDS:
         raise ParseError(f"{name!r} is a formula keyword, not a symbol name", lineno, 1)
+    if name in lines:
+        raise ParseError(_CLASH, lineno, 1)
+    lines[name] = lineno
     return name
+
+
+@contextlib.contextmanager
+def _at_line(lineno: int):
+    """Report a ``ValueError`` as a ``ParseError`` at the given line."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno, 1) from exc
 
 
 def parse_structure(text: str) -> Structure:
     domain_size: int | None = None
+    domain_line = 0
+    arities: dict[str, int] = {}
     relations: dict[str, frozenset[Row]] = {}
-    rel_decls: list[tuple[str, int]] = []
     constants: dict[str, int] = {}
-    const_decls: list[str] = []
+    lines: dict[str, int] = {}  # the line declaring each symbol
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -300,12 +356,14 @@ def parse_structure(text: str) -> Structure:
         if parts[0] == "domain":
             if len(parts) != 2 or not is_numeral(parts[1]):
                 raise ParseError("expected `domain <n>`", lineno, 1)
-            domain_size = int(parts[1])
+            domain_size, domain_line = int(parts[1]), lineno
         elif parts[0] == "rel":
             m = re.match(rf"rel\s+({NAME})/([0-9]+)\s*:(.*)$", line)
             if not m:
                 raise ParseError("expected `rel <name>/<arity> : (a,b) ...`", lineno, 1)
-            name, arity, rest = _symbol(m.group(1), lineno), int(m.group(2)), m.group(3)
+            name, arity, rest = _symbol(m.group(1), lineno, lines), int(m.group(2)), m.group(3)
+            with _at_line(lineno):
+                _check_arity(name, arity)
             tuples: set[Row] = set()
             leftovers = _TUPLE_RE.sub("", rest).strip()
             if leftovers:
@@ -315,23 +373,30 @@ def parse_structure(text: str) -> Structure:
                 if len(items) != arity:
                     raise ParseError(f"tuple ({grp}) does not have arity {arity}", lineno, 1)
                 tuples.add(tuple(int(s) for s in items))
-            rel_decls.append((name, arity))
+            arities[name] = arity
             relations[name] = frozenset(tuples)
         elif parts[0] == "const":
             m = re.match(rf"const\s+({NAME})\s*=\s*([0-9]+)$", line)
             if not m:
                 raise ParseError("expected `const <name> = <id>`", lineno, 1)
-            const_decls.append(_symbol(m.group(1), lineno))
-            constants[m.group(1)] = int(m.group(2))
+            constants[_symbol(m.group(1), lineno, lines)] = int(m.group(2))
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno, 1)
     if domain_size is None:
         raise ParseError("missing `domain <n>` header")
+    vocabulary = Vocabulary(tuple(arities.items()), tuple(constants))
     try:
-        vocab = Vocabulary(tuple(rel_decls), tuple(const_decls))
-        return Structure(vocab, domain_size, relations, constants)
+        return Structure(vocabulary, domain_size, relations, constants)
     except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        # The domain may come last, so values meet it only here; find the
+        # declaration at fault to name its line.
+        for name, tuples in relations.items():
+            with _at_line(lines[name]):
+                _relation_rows(name, arities[name], tuples, domain_size)
+        for name, value in constants.items():
+            with _at_line(lines[name]):
+                _check_constant(name, value, domain_size)
+        raise ParseError(str(exc), domain_line, 1) from exc
 
 
 def render_structure(structure: Structure) -> str:

@@ -308,6 +308,7 @@ def build_syntax_circuit(formula: PropFormula, depth: int | None = None) -> Stru
     )
 
 
+@functools.lru_cache(maxsize=64)
 def theta_formula(depth: int, negative: bool = False) -> WdFormula:
     """The alternating reachability sentence over a syntax circuit.
 
@@ -317,6 +318,8 @@ def theta_formula(depth: int, negative: bool = False) -> WdFormula:
     additionally constrains ``S`` to the variable elements — an antitone
     guard, so the symbol still occurs only negatively; without it,
     arbitrary elements could pad a small solution to the requested size.
+    Built once per ``(depth, negative)`` and shared, like ``_parsed``'s
+    formulas, so its per-node facts are computed once.
     """
     if depth < 1:
         raise ValueError("the level formula needs depth at least 1")

@@ -53,10 +53,8 @@ from .formulas import (
     FragmentReport,
     NegRel,
     Rel,
-    and_all,
     classify,
-    first_order_conjuncts,
-    free_vars,
+    first_order_part,
     subformulas,
 )
 from .inclusion import compile_max
@@ -121,6 +119,9 @@ def colex_subsets(
     yield from rec(indices, (), k)
 
 
+_PATHS = {"FO": "fo-counting", "FO(inc)": "inclusion-fixpoint", "FO(dep)": "strict"}
+
+
 def solve_path(report: FragmentReport) -> str:
     """The check that decides teams of a classified formula, sentences included.
 
@@ -128,9 +129,7 @@ def solve_path(report: FragmentReport) -> str:
     ``inclusion-fixpoint`` for FO(inc), ``strict`` for FO(dep), ``generic``
     (the lax evaluator) for the rest.
     """
-    return {"FO": "fo-counting", "FO(inc)": "inclusion-fixpoint", "FO(dep)": "strict"}.get(
-        report.fragment, "generic"
-    )
+    return _PATHS.get(report.fragment, "generic")
 
 
 def compile_check(
@@ -154,7 +153,7 @@ def compile_check(
 
 def check_sentence(structure: Structure, formula: Formula) -> bool:
     """Truth of a sentence: whether the one-row team ``{()}`` satisfies it."""
-    if free_vars(formula):
+    if formula.free:
         raise EvaluationError("check_sentence expects a sentence without free variables")
     path = solve_path(classify(formula))
     return compile_check(structure, formula, (), path)(frozenset({()}))
@@ -167,7 +166,7 @@ def wt_solve(instance: WtInstance) -> Team | None:
     For sentences only ``k <= 1`` can succeed.
     """
     structure, formula, k = instance.structure, instance.formula, instance.k
-    variables = tuple(sorted(free_vars(formula)))
+    variables = tuple(sorted(formula.free))
     report = classify(formula)
     path = solve_path(report)
     if k == 0:
@@ -175,9 +174,9 @@ def wt_solve(instance: WtInstance) -> Team | None:
     rows = canonical_rows(structure.domain_size, variables)
 
     allowed_indices = list(range(len(rows)))
-    conjuncts = first_order_conjuncts(formula)
-    if conjuncts:
-        allowed = row_test(structure, and_all(conjuncts), variables)
+    part = first_order_part(formula)
+    if part is not None:
+        allowed = row_test(structure, part, variables)
         allowed_indices = [i for i in allowed_indices if allowed(rows[i])]
     if len(allowed_indices) < k:
         return None
@@ -201,7 +200,7 @@ def _validate_wd(structure: Structure, wd: WdFormula) -> None:
     """Checks that depend only on the structure and the formula, not on the tuples."""
     if structure.vocabulary.relation_arity(wd.symbol) is not None:
         raise EvaluationError(f"free symbol {wd.symbol!r} clashes with the vocabulary")
-    if free_vars(wd.formula):
+    if wd.formula.free:
         raise EvaluationError("weighted definability formulas must be sentences")
 
 

@@ -17,7 +17,7 @@ from teamcheck.corpus import (
 )
 from teamcheck.errors import EvaluationError
 from teamcheck.evaluator import _SUBSET_LIMIT, _Evaluator, eval_fo_tarski, eval_team, row_test
-from teamcheck.formulas import And, Exists, Forall, Or, atom_set, free_vars, is_first_order, parse, render, subformulas
+from teamcheck.formulas import And, Exists, Forall, Or, free_vars, parse, render, subformulas
 from teamcheck.inclusion import compile_max, eval_inclusion
 from teamcheck.model import Structure, Team, Vocabulary, canonical_rows
 from teamcheck.reductions import Graph, encode_indset
@@ -440,7 +440,7 @@ class TestAgainstDefinitions:
         rows = [dict(zip(team.variables, row)) for row in sorted(team.rows)]
         case = (render(formula), structure.domain_size, structure.relations, sorted(team.rows))
         assert eval_team(structure, team, formula) == satisfies(structure, rows, formula), case
-        if not atom_set(formula) & {"inc", "indep"}:
+        if not formula.atoms & {"inc", "indep"}:
             strict = strict_check(structure, team, formula)
             assert strict == satisfies(structure, rows, formula, strict=True), case
 
@@ -536,8 +536,8 @@ class TestQuantifiedFirstOrder:
             if search_cost(formula, 3, structure.domain_size) > 5e4:
                 continue
             nested_fo += any(
-                isinstance(sub, (Exists, Forall)) and not atom_set(sub) for sub in subformulas(formula)
-            ) and not is_first_order(formula)
+                isinstance(sub, (Exists, Forall)) and sub.first_order for sub in subformulas(formula)
+            ) and not formula.first_order
             variables = sorted(free_vars(formula) | {"x", "y"} | ({"u"} if checked % 2 else set()))
             TestAgainstDefinitions.assert_agrees(structure, random_team(rng, structure, variables, 3), formula)
             checked += 1

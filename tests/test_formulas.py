@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,10 +20,12 @@ from teamcheck.formulas import (
     Rel,
     Var,
     classify,
+    first_order_part,
     free_vars,
     parse,
     render,
 )
+from teamcheck.corpus import SplitMix64, random_formula, random_sentence
 from teamcheck.model import Vocabulary
 
 GRAPH_VOCAB = Vocabulary(relations=(("E", 2),))
@@ -204,3 +208,158 @@ def test_parse_render_round_trip(formula):
 def test_free_vars_of_quantifier(formula, variable):
     assert free_vars(Exists(variable, formula)) == free_vars(formula) - {variable}
     assert free_vars(Forall(variable, formula)) == free_vars(formula) - {variable}
+
+
+# --- per-node facts against an independent reference ---------------------------
+#
+# The reference walks the tree recursively from the definitions and shares no
+# code with ``teamcheck.formulas``: only the node classes are imported.
+
+_TEAM_ATOMS = {Dep: "dep", Inc: "inc", Indep: "indep"}
+
+
+def _reference_terms(node):
+    if isinstance(node, (Eq, Neq)):
+        return (node.left, node.right)
+    if isinstance(node, (Rel, NegRel)):
+        return node.terms
+    if isinstance(node, Dep):
+        return node.determinants + node.determined
+    if isinstance(node, Inc):
+        return node.left + node.right
+    return node.condition + node.left + node.right
+
+
+def reference_free(node):
+    if isinstance(node, (And, Or)):
+        return reference_free(node.left) | reference_free(node.right)
+    if isinstance(node, (Exists, Forall)):
+        return reference_free(node.body) - {node.variable}
+    return {t.name for t in _reference_terms(node) if isinstance(t, Var)}
+
+
+def reference_atoms(node):
+    if isinstance(node, (And, Or)):
+        return reference_atoms(node.left) | reference_atoms(node.right)
+    if isinstance(node, (Exists, Forall)):
+        return reference_atoms(node.body)
+    return {_TEAM_ATOMS[type(node)]} if type(node) in _TEAM_ATOMS else set()
+
+
+def reference_has_quantifier(node):
+    if isinstance(node, (And, Or)):
+        return reference_has_quantifier(node.left) or reference_has_quantifier(node.right)
+    return isinstance(node, (Exists, Forall))
+
+
+def reference_report(node):
+    """(atoms, fragment, (first quantifier, blocks) or None)."""
+    atoms = reference_atoms(node)
+    fragment = "FO" if not atoms else f"FO({next(iter(atoms))})" if len(atoms) == 1 else "mixed"
+    kinds = []
+    while isinstance(node, (Exists, Forall)):
+        kinds.append("exists" if isinstance(node, Exists) else "forall")
+        node = node.body
+    prefix = None
+    if not reference_has_quantifier(node):
+        blocks = sum(1 for i, kind in enumerate(kinds) if i == 0 or kinds[i - 1] != kind)
+        prefix = (kinds[0] if kinds else None, blocks)
+    return atoms, fragment, prefix
+
+
+def assert_facts_match_reference(formula):
+    # every node, not only the root, carries the facts the reference derives
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        assert free_vars(node) == reference_free(node)
+        assert node.atoms == reference_atoms(node)
+        assert node.first_order == (not reference_atoms(node))
+        assert node.quantifier_free == (not reference_has_quantifier(node))
+        report = classify(node)
+        prefix = None if report.prefix is None else (report.prefix.first, report.prefix.blocks)
+        assert (report.atoms, report.fragment, prefix) == reference_report(node)
+        assert report.free_variables == reference_free(node)
+        if isinstance(node, (And, Or)):
+            stack += [node.left, node.right]
+        elif isinstance(node, (Exists, Forall)):
+            stack.append(node.body)
+
+
+class TestFacts:
+    @pytest.mark.parametrize("fragment", ["FO", "FO(dep)", "FO(inc)", "FO(indep)"])
+    def test_corpus_formulas_match_reference(self, fragment):
+        rng = SplitMix64(31 + len(fragment))
+        quantified = 0
+        for _ in range(150):
+            formula = random_formula(rng, fragment, 3, 3)
+            quantified += isinstance(formula, (Exists, Forall))
+            assert_facts_match_reference(formula)
+            assert_facts_match_reference(random_sentence(rng, fragment, 3))
+        assert quantified > 50
+
+    @given(_formulas())
+    @settings(max_examples=150, deadline=None)
+    def test_nested_quantifiers_and_mixed_atoms_match_reference(self, formula):
+        assert_facts_match_reference(formula)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "forall x exists y (inc(y;z) & (E(x,y) | x=y))",
+            "forall y (N(x) & (!P(y) | !I(x,y) | dep(y;x)))",
+            "E(x,y) & x!=y & inc(y;x) & inc(x;y)",
+            "exists u (E(x,u) & forall v (indep(;u;v) | dep(x;v)))",
+        ],
+    )
+    def test_analysed_formula_equals_a_fresh_one(self, text):
+        analysed = parse(text)
+        for analysis in (classify, first_order_part, hash):
+            analysis(analysed)
+        fresh = parse(text)
+        assert analysed == fresh and fresh == analysed
+        assert hash(analysed) == hash(fresh)
+        assert render(analysed) == render(fresh) == text
+        assert repr(analysed) == repr(fresh)
+        assert "free" not in repr(analysed) and "hash_value" not in repr(analysed)
+        assert {analysed: 1}[fresh] == 1
+
+    def test_pickled_formula_is_rebuilt(self):
+        formula = parse("forall x exists y (inc(y;z) & (E(x,y) | x=y))")
+        classify(formula)
+        copy = pickle.loads(pickle.dumps(formula))
+        assert copy == formula and hash(copy) == hash(formula) and classify(copy) == classify(formula)
+
+    def test_facts_are_cached_per_node(self):
+        formula = parse("exists u (E(x,u) & dep(x;u)) & x=y")
+        assert classify(formula) is classify(formula)
+        assert first_order_part(formula) is first_order_part(formula) is formula.right
+        assert free_vars(formula) is free_vars(formula)
+
+    def test_first_order_part_keeps_the_first_order_conjuncts(self):
+        clique = parse("E(x,y) & x!=y & inc(y;x) & inc(x;y)")
+        assert first_order_part(clique) == parse("E(x,y) & x!=y")
+        assert first_order_part(parse("x=y & (dep(x;y) & E(x,y))")) == parse("x=y & E(x,y)")
+        assert first_order_part(parse("dep(x;y) | x=y")) is None
+        fo = parse("exists u E(x,u)")
+        assert first_order_part(fo) is fo
+
+
+class TestDeepFormulas:
+    """Facts are set without recursion, so no depth makes them fail."""
+
+    def test_deep_conjunction(self):
+        formula = parse(" & ".join(["x=x"] * 3000))
+        report = classify(formula)
+        assert (report.atoms, report.fragment, str(report.prefix)) == (frozenset(), "FO", "quantifier-free")
+        assert free_vars(formula) == {"x"}
+        assert formula.first_order and formula.quantifier_free
+        assert first_order_part(formula) is formula
+        assert hash(formula) == hash(parse(" & ".join(["x=x"] * 3000)))
+
+    def test_deep_quantifier_prefix(self):
+        formula = Dep((), (Var("x"),))
+        for _ in range(3000):
+            formula = Exists("x", formula)
+        report = classify(formula)
+        assert (report.fragment, str(report.prefix), report.free_variables) == ("FO(dep)", "Sigma_1", frozenset())

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,15 @@ from teamcheck.errors import ParseError
 from teamcheck.evaluator import eval_team
 from teamcheck.formulas import parse
 from teamcheck.model import (
+    EXTENSION_MEMOS,
+    SHARED_EXTENSION_ROWS,
     Structure,
     Team,
     Vocabulary,
     all_assignments,
     canonical_rows,
     duplicate,
+    extension_memo,
     parse_structure,
     parse_team,
     rel,
@@ -51,6 +56,28 @@ class TestStructure:
         with pytest.raises(ValueError):
             Structure(Vocabulary(constants=("c",)), 2)
 
+    @pytest.mark.parametrize(
+        "tuples, message",
+        [
+            ([(0, 1), (1,), (0, 1, 1)], r"^tuple \(1,\) has wrong arity for 'E'/2$"),
+            ([(0, 1), (), (0, 2)], r"^tuple \(\) has wrong arity for 'E'/2$"),
+            ([(0, 1), (0, 2), (1,)], r"^tuple \(0, 2\) of 'E' mentions elements outside the domain$"),
+            ([(1, 1), (-1, 0)], r"^tuple \(-1, 0\) of 'E' mentions elements outside the domain$"),
+            ([[1, 0], [1, 2, 0]], r"^tuple \[1, 2, 0\] has wrong arity for 'E'/2$"),
+        ],
+    )
+    def test_rejects_the_first_bad_tuple_by_name(self, tuples, message):
+        with pytest.raises(ValueError, match=message):
+            Structure(Vocabulary(relations=(("E", 2),)), 2, {"E": tuples})
+
+    def test_rejects_out_of_range_constant_by_name(self):
+        with pytest.raises(ValueError, match=r"^constant 'c' maps outside the domain$"):
+            Structure(Vocabulary(constants=("c",)), 2, constants={"c": 2})
+
+    def test_accepts_lists_and_boundary_values(self):
+        s = Structure(Vocabulary(relations=(("E", 2),)), 3, {"E": [[0, 2], (2, 0), (0, 2)]})
+        assert s.relations["E"] == frozenset({(0, 2), (2, 0)})
+
     def test_undeclared_relation_defaults_empty(self):
         s = Structure(Vocabulary(relations=(("E", 2),)), 2)
         assert s.relations["E"] == frozenset()
@@ -76,6 +103,65 @@ class TestDuplicate:
         team = Team.make(["x"], [(2,)])
         out = duplicate(plain_structure(3), team, "x")
         assert out == Team.make(["x"], [(0,), (1,), (2,)])
+
+
+class TestExtensionMemo:
+    def test_one_memo_per_domain_size_across_structures(self):
+        edges = Structure(Vocabulary(relations=(("E", 2),)), 3, {"E": frozenset({(0, 1), (1, 2)})})
+        loops = Structure(Vocabulary(relations=(("E", 2),)), 3, {"E": frozenset({(0, 0), (2, 2)})})
+        team = Team.make(["x"], [(0,), (2,)])
+        assert extension_memo(3, ("x",), "y") is extension_memo(3, ("x",), "y")
+        for structure in (edges, loops):
+            assert duplicate(structure, team, "y").rows == {(x, y) for x in (0, 2) for y in range(3)}
+        # the shared extensions serve both structures' quantifiers
+        common = parse("exists y (E(x,y) & dep(;y))", edges.vocabulary)
+        looped = parse("forall y (dep(;x) & (E(x,y) | x!=y))", edges.vocabulary)
+        for structure, rows, formula, verdict in [
+            (edges, [0], common, True),
+            (edges, [0, 1], common, False),
+            (loops, [0], common, True),
+            (loops, [1], common, False),
+            (edges, [0], looped, False),
+            (loops, [0], looped, True),
+            (loops, [2], looped, True),
+            (loops, [0, 2], looped, False),
+        ]:
+            assert eval_team(structure, Team.make(["x"], [(x,) for x in rows]), formula) is verdict
+
+    def test_overwritten_column_and_other_domains(self):
+        extended, extensions = extension_memo(2, ("x", "y"), "x")
+        assert extended == ("x", "y") and extensions[(1, 7)] == ((0, 7), (1, 7))
+        extended, extensions = extension_memo(4, ("x", "z"), "y")
+        assert extended == ("x", "y", "z") and extensions[(1, 0)] == tuple((1, a, 0) for a in range(4))
+
+    def test_cache_keeps_the_most_recent_memos(self):
+        memos = [extension_memo(2, ("x",), f"v{i}")[1] for i in range(EXTENSION_MEMOS + 20)]
+        assert all(extension_memo(2, ("x",), f"v{i}")[1] is memos[i] for i in range(20, EXTENSION_MEMOS + 20))
+        assert not any(extension_memo(2, ("x",), f"v{i}")[1] is memos[i] for i in range(20))
+
+    def test_only_small_memos_are_shared(self):
+        # 32^2 extended rows fit SHARED_EXTENSION_ROWS, 33^2 do not
+        assert 32**2 <= SHARED_EXTENSION_ROWS < 33**2
+        assert extension_memo(32, ("x",), "y")[1] is extension_memo(32, ("x",), "y")[1]
+        assert extension_memo(33, ("x",), "y")[1] is not extension_memo(33, ("x",), "y")[1]
+        extended, extensions = extension_memo(33, ("x",), "y")
+        assert extended == ("x", "y") and extensions[(32,)] == tuple((32, a) for a in range(33))
+
+    def test_large_memo_is_freed_after_the_call(self):
+        team = Team.make(["x", "y", "z"], itertools.product(range(12), repeat=3))
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            out = duplicate(plain_structure(12), team, "w")
+            held = tracemalloc.get_traced_memory()[0] - before
+            assert len(out) == 12**4
+            del out
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert left < held / 100, (held, left)
 
 
 class TestSupplement:
@@ -257,6 +343,20 @@ class TestStructureFormat:
         # formulas.parse could never refer to these symbols
         with pytest.raises(ParseError, match="line 3, column 1"):
             parse_structure(f"domain 2\n\n{declaration}\n")
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("domain 2\nrel E/0 :\n", 2, "relation 'E' must have a positive integer arity, got 0"),
+            ("domain 2\nrel E/2 : (0,1)\nconst c = 5\n", 3, "constant 'c' maps outside the domain"),
+            ("rel E/1 : (5)\n# the domain comes last\ndomain 2\n", 1, "tuple (5,) of 'E' mentions elements outside the domain"),
+            ("domain 2\nrel E/2 : (0,1)\nconst E = 1\n", 3, "relation and constant names must be pairwise distinct"),
+        ],
+    )
+    def test_declaration_errors_name_their_line(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_structure(text)
+        assert (err.value.line, str(err.value)) == (line, f"line {line}, column 1: {message}")
 
     def test_symbol_names_round_trip_through_formulas(self):
         structure = parse_structure("domain 2\nrel _E9/2 : (0,1)\nrel Inc/1 : (1)\nconst c_0 = 1\n")

@@ -174,6 +174,7 @@ class TestLevelFormulas:
         wd = theta_formula(2, negative=False)
         assert render(wd.formula) == "forall x1 (!E(o,x1) | exists x2 (E(x1,x2) & I(x2) & S(x2)))"
         assert wd.occurrences() == ("positive",)
+        assert theta_formula(2, negative=False) is wd  # built once, shared
 
     def test_theta_rejects_depth_zero(self):
         with pytest.raises(ValueError):

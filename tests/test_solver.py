@@ -7,7 +7,7 @@ import pytest
 from teamcheck.corpus import SplitMix64, random_structure
 from teamcheck.errors import EvaluationError
 from teamcheck.evaluator import eval_fo_tarski, eval_team
-from teamcheck.formulas import And, Eq, Exists, Forall, Neq, NegRel, Or, Rel, Var, free_vars, is_quantifier_free, parse
+from teamcheck.formulas import And, Eq, Exists, Forall, Neq, NegRel, Or, Rel, Var, free_vars, parse
 from teamcheck.model import Structure, Team, Vocabulary, canonical_rows
 from teamcheck import solver
 from teamcheck.reductions import Graph, encode_clique, encode_domset, graph_brute
@@ -336,6 +336,6 @@ def test_inclusion_witness_matches_exhaustive_search(text, max_n):
             structure = random_structure(rng, n, min_domain=n)
             formula = parse(text, structure.vocabulary)
             rows = n ** len(free_vars(formula))
-            for k in range(rows + 1 if is_quantifier_free(formula) else min(rows, 4) + 1):
+            for k in range(rows + 1 if formula.quantifier_free else min(rows, 4) + 1):
                 expected = _reference_wt_witness(structure, formula, k)
                 assert wt_solve(WtInstance(structure, formula, k)) == expected, (n, k)
