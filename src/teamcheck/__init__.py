@@ -34,15 +34,11 @@ from .model import (
     Structure,
     Team,
     Vocabulary,
-    all_assignments,
     duplicate,
     parse_structure,
     parse_team,
-    rel,
     render_structure,
     render_team,
-    restrict,
-    supplement,
 )
 from .prop import PAnd, PLit, POr, PropFormula, gamma_class, parse_prop, render_prop
 from .reductions import (

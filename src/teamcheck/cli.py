@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
 Subcommands: ``check`` (team satisfaction), ``solve`` (weighted team
-search), ``reduce`` (instance encoders), ``verify`` (invariant suites),
-``bench`` (timing tables).  Exit codes are stable across commands:
-0 = SAT / pass, 1 = UNSAT / fail, 2 = input error.
+search), ``reduce`` (instance encoders), ``verify`` (invariant suites).
+Exit codes are stable across commands: 0 = SAT / pass, 1 = UNSAT / fail,
+2 = input error.
 
 The default seed comes from ``TEAMCHECK_SEED`` when set.
 """
@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from .errors import TeamcheckError
 from .evaluator import require_in_domain
@@ -205,58 +204,6 @@ def cmd_verify(args) -> int:
     return 0 if report.ok() else 1
 
 
-def _parse_range(text: str) -> range:
-    if not text:
-        return range(0)
-    lo, _, hi = text.partition(":")
-    if not hi:
-        return range(int(lo), int(lo) + 1)
-    return range(int(lo), int(hi) + 1)
-
-
-def cmd_bench(args) -> int:
-    from .corpus import SplitMix64, random_graph, random_layered_prop
-    from .prop import prop_variables
-
-    seed = args.seed if args.seed is not None else _default_seed()
-    records = []
-    for n in _parse_range(args.n_range):
-        for k in _parse_range(args.k_range):
-            rng = SplitMix64((seed << 16) ^ (n << 8) ^ k)
-            if args.family == "domset":
-                graph = random_graph(rng, n, 0.4)
-                instance = encode_domset(graph, k)
-            else:
-                formula = random_layered_prop(rng, 2, positive=True, max_variables=max(2, n))
-                instance, _ = encode_wsat(formula, min(k, len(prop_variables(formula))))
-            started = time.perf_counter()
-            witness = wt_solve(instance)
-            elapsed = time.perf_counter() - started
-            records.append({
-                "family": args.family,
-                "n": n,
-                "k": k,
-                "path": solve_path(classify(instance.formula)),
-                "seconds": round(elapsed, 6),
-                "verdict": "SAT" if witness is not None else "UNSAT",
-            })
-    if args.json:
-        output = json.dumps(records, sort_keys=True)
-    else:
-        rows = ["family,n,k,path,seconds,verdict"]
-        rows += [
-            f"{r['family']},{r['n']},{r['k']},{r['path']},{r['seconds']:.6f},{r['verdict']}"
-            for r in records
-        ]
-        output = "\n".join(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(output + "\n")
-    else:
-        print(output)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="teamcheck", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -300,15 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", help="report file (stdout when omitted)")
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=cmd_verify)
-
-    bench = sub.add_parser("bench", help="timing table for a solver family")
-    bench.add_argument("family", choices=("domset", "wsat"))
-    bench.add_argument("--n-range", default="", help="A:B inclusive")
-    bench.add_argument("--k-range", default="", help="A:B inclusive")
-    bench.add_argument("--seed", type=int, default=None)
-    bench.add_argument("--json", action="store_true")
-    bench.add_argument("--out")
-    bench.set_defaults(func=cmd_bench)
 
     return parser
 

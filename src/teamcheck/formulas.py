@@ -359,9 +359,13 @@ def _render_terms(terms: Terms) -> str:
 
 
 def _chain(formula: Formula, cls) -> list[Formula]:
-    if isinstance(formula, cls):
-        return _chain(formula.left, cls) + [formula.right]
-    return [formula]
+    """The operands of a left-nested ``cls`` chain, left to right."""
+    parts = []
+    while isinstance(formula, cls):
+        parts.append(formula.right)
+        formula = formula.left
+    parts.append(formula)
+    return parts[::-1]
 
 
 def render(formula: Formula) -> str:

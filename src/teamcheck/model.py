@@ -11,7 +11,7 @@ All values here are immutable after construction and every operation is
 pure, so they are safe to share between concurrent workers.  The one
 mutable type is ``Memo``, a per-row cache.  ``extension_memo`` keeps a
 row's extensions by a variable in one; it is the row-extension primitive
-behind ``duplicate``, ``supplement`` and both compiled team evaluators.
+behind ``duplicate`` and both compiled team evaluators.
 A row's extensions depend on the domain size alone, so one memo per
 (domain size, variable order, variable) serves every structure and call;
 a bounded cache keeps the ``EXTENSION_MEMOS`` most recently used of those
@@ -231,74 +231,14 @@ def duplicate(structure: Structure, team: Team, variable: str) -> Team:
     return Team(extended, frozenset(itertools.chain.from_iterable(map(extensions.__getitem__, team.rows))))
 
 
-def supplement(
-    structure: Structure,
-    team: Team,
-    variable: str,
-    values: Mapping[Row, Iterable[int]],
-) -> Team:
-    """Extend ``variable`` row by row with the chosen nonempty value sets.
-
-    ``values`` must be total on the team's rows (keys are value tuples
-    aligned with ``team.variables``) and every value set must be a
-    nonempty subset of the domain.  The constant full-domain choice
-    coincides with :func:`duplicate`.
-    """
-    extended, extensions = extension_memo(structure.domain_size, team.variables, variable)
-    rows: set[Row] = set()
-    for row in team.rows:
-        if row not in values:
-            raise ValueError(f"supplementing function misses row {row}")
-        chosen = set(values[row])
-        if not chosen:
-            raise ValueError(f"supplementing function maps row {row} to an empty set")
-        for a in chosen:
-            if not (0 <= a < structure.domain_size):
-                raise ValueError(f"value {a} outside the domain")
-        # extensions come in element order, so element a sits at index a
-        rows.update(map(extensions[row].__getitem__, chosen))
-    return Team(extended, frozenset(rows))
-
-
-def restrict(team: Team, variables: Iterable[str]) -> Team:
-    """Project the team onto a subset of its domain, deduplicating rows."""
-    vs = tuple(sorted(set(variables)))
-    missing = set(vs) - set(team.variables)
-    if missing:
-        raise ValueError(f"cannot restrict to variables outside the domain: {sorted(missing)}")
-    cols = [team.variables.index(v) for v in vs]
-    return Team(vs, frozenset(tuple(row[c] for c in cols) for row in team.rows))
-
-
-def rel(team: Team, order: Iterable[str]) -> frozenset[Row]:
-    """The relation defined by the team, columns in the given order.
-
-    ``order`` must be a permutation of the team's domain; the map from
-    rows to tuples is then a bijection.
-    """
-    cols_order = tuple(order)
-    if sorted(cols_order) != list(team.variables) or len(cols_order) != len(team.variables):
-        raise ValueError(f"{cols_order} is not a permutation of the domain {team.variables}")
-    cols = [team.variables.index(v) for v in cols_order]
-    return frozenset(tuple(row[c] for c in cols) for row in team.rows)
-
-
 def canonical_rows(domain_size: int, variables: Iterable[str]) -> list[Row]:
-    """All value tuples over the sorted variables, in lexicographic order."""
-    width = len(tuple(sorted(set(variables))))
-    return [tup for tup in itertools.product(range(domain_size), repeat=width)]
+    """All value tuples over the sorted variables, in lexicographic order.
 
-
-def all_assignments(structure: Structure, variables: Iterable[str]) -> Iterator[dict[str, int]]:
-    """Yield every assignment exactly once.
-
-    Order is lexicographic: variables sorted by name, element ids
-    ascending, the last variable varying fastest.  Over the empty variable
-    set this yields exactly the empty assignment.
+    Element ids ascend and the last variable varies fastest; over no
+    variables the one row is ``()``.  This order fixes every colex-first
+    witness of ``wt_solve``.
     """
-    vs = tuple(sorted(set(variables)))
-    for tup in itertools.product(structure.elements, repeat=len(vs)):
-        yield dict(zip(vs, tup))
+    return list(itertools.product(range(domain_size), repeat=len(set(variables))))
 
 
 # ---------------------------------------------------------------------------

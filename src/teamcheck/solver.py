@@ -2,7 +2,7 @@
 
 ``wt_solve`` looks for a team of exactly ``k`` distinct assignments over
 the formula's free variables.  Candidate teams are enumerated in colex
-order over assignment indices (assignments ordered as ``all_assignments``
+order over assignment indices (assignments ordered as ``canonical_rows``
 yields them), so witnesses are reproducible.  Three exact refinements keep
 the search tractable without changing verdicts or witnesses:
 

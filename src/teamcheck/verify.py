@@ -14,7 +14,7 @@ import json
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .corpus import (
     SplitMix64,
@@ -29,7 +29,7 @@ from .corpus import (
 from .evaluator import eval_fo_tarski, eval_team
 from .formulas import free_vars, parse
 from .inclusion import eval_inclusion, max_subteam
-from .model import Team, canonical_rows, restrict
+from .model import Team, canonical_rows
 from .prop import parse_prop, prop_variables, render_prop
 from .reductions import (
     Graph,
@@ -127,6 +127,13 @@ def _run_cases(runner: Callable, tasks: Sequence, jobs: int) -> list:
 _FRAGMENTS = ("FO", "FO(dep)", "FO(inc)", "FO(indep)")
 
 
+def _subteams(team: Team) -> Iterator[Team]:
+    """Every subteam of ``team``, one per bitmask over its sorted rows."""
+    rows = sorted(team.rows)
+    for mask in range(1 << len(rows)):
+        yield Team(team.variables, frozenset(r for i, r in enumerate(rows) if mask >> i & 1))
+
+
 def _closure_case(task) -> CaseResult:
     index, fragment, structure, team, second_team, formula = task
     violations: list[str] = []
@@ -136,7 +143,10 @@ def _closure_case(task) -> CaseResult:
     if not eval_team(structure, Team.empty(team.variables), formula):
         violations.append("empty-team")
 
-    local = eval_team(structure, restrict(team, free_vars(formula)), formula)
+    free = tuple(sorted(free_vars(formula)))
+    columns = [team.variables.index(v) for v in free]
+    projected = Team(free, frozenset(tuple(row[c] for c in columns) for row in team.rows))
+    local = eval_team(structure, projected, formula)
     if local != satisfied:
         violations.append("locality")
 
@@ -150,13 +160,8 @@ def _closure_case(task) -> CaseResult:
     if fragment in ("FO", "FO(dep)"):
         if compile_check(structure, formula, team.variables, "strict")(team.rows) != satisfied:
             violations.append("strict-lax")
-        if satisfied:
-            rows = sorted(team.rows)
-            for mask in range(1 << len(rows)):
-                sub = Team(team.variables, frozenset(r for i, r in enumerate(rows) if mask >> i & 1))
-                if not eval_team(structure, sub, formula):
-                    violations.append("downward-closure")
-                    break
+        if satisfied and not all(eval_team(structure, sub, formula) for sub in _subteams(team)):
+            violations.append("downward-closure")
 
     if fragment == "FO(inc)":
         other = eval_team(structure, second_team, formula)
@@ -165,12 +170,7 @@ def _closure_case(task) -> CaseResult:
             if not eval_team(structure, union, formula):
                 violations.append("union-closure")
         if len(team) <= 3:
-            rows = sorted(team.rows)
-            satisfying = []
-            for mask in range(1 << len(rows)):
-                sub = frozenset(r for i, r in enumerate(rows) if mask >> i & 1)
-                if eval_team(structure, Team(team.variables, sub), formula):
-                    satisfying.append(sub)
+            satisfying = [sub.rows for sub in _subteams(team) if eval_team(structure, sub, formula)]
             for left in satisfying[:8]:
                 for right in satisfying[:8]:
                     union = Team(team.variables, left | right)
@@ -240,13 +240,8 @@ def _inclusion_case(task) -> CaseResult:
     if fixpoint != generic:
         problems.append(f"verdict fixpoint={fixpoint} generic={generic}")
     maximal = max_subteam(structure, team, formula)
-    rows = sorted(team.rows)
-    union: set = set()
-    for mask in range(1 << len(rows)):
-        sub = frozenset(r for i, r in enumerate(rows) if mask >> i & 1)
-        if eval_team(structure, Team(team.variables, sub), formula):
-            union |= sub
-    if frozenset(union) != maximal.rows:
+    union = frozenset().union(*(sub.rows for sub in _subteams(team) if eval_team(structure, sub, formula)))
+    if union != maximal.rows:
         problems.append("max-subteam differs from union of satisfying subteams")
     status = "pass" if not problems else "fail"
     return CaseResult(index, f"{text} n={structure.domain_size} team={len(team)}", status, "; ".join(problems))
@@ -275,34 +270,17 @@ def run_inclusion_suite(seed: int, max_domain: int = 3, max_team_rows: int = 4, 
 
 # --- reductions suite ------------------------------------------------------------
 
-def _domset_case(task) -> CaseResult:
-    index, edges, vertex_count, k = task
+_GRAPH_ENCODERS = {"domset": encode_domset, "indset": encode_indset}
+
+
+def _graph_case(task) -> CaseResult:
+    index, problem, edges, vertex_count, k = task
     graph = Graph.make(vertex_count, edges)
-    expected = graph_brute("domset", graph, k)
-    witness = wt_solve(encode_domset(graph, k))
-    status = "pass" if (witness is not None) == expected else "fail"
-    return CaseResult(index, f"domset edges={sorted(edges)} k={k}", status,
-                      "" if status == "pass" else f"brute={expected} solver={witness is not None}")
-
-
-def _indset_case(task) -> CaseResult:
-    index, edges, vertex_count, k = task
-    graph = Graph.make(vertex_count, edges)
-    expected = graph_brute("indset", graph, k)
-    witness = wt_solve(encode_indset(graph, k))
-    status = "pass" if (witness is not None) == expected else "fail"
-    return CaseResult(index, f"indset edges={sorted(edges)} k={k}", status,
-                      "" if status == "pass" else f"brute={expected} solver={witness is not None}")
-
-
-def _clique_forward_case(task) -> CaseResult:
-    index, edges, vertex_count, k = task
-    graph = Graph.make(vertex_count, edges)
-    if not graph_brute("clique", graph, k):
-        return CaseResult(index, f"clique-forward edges={sorted(edges)} k={k}", "pass", "no clique")
-    witness = wt_solve(encode_clique(graph, k))
-    status = "pass" if witness is not None else "fail"
-    return CaseResult(index, f"clique-forward edges={sorted(edges)} k={k}", status)
+    expected = graph_brute(problem, graph, k)
+    solved = wt_solve(_GRAPH_ENCODERS[problem](graph, k)) is not None
+    status = "pass" if solved == expected else "fail"
+    return CaseResult(index, f"{problem} edges={sorted(edges)} k={k}", status,
+                      "" if status == "pass" else f"brute={expected} solver={solved}")
 
 
 CLIQUE_WD_TEXT = "forall x forall y (!S(x) | !S(y) | x=y | E(x,y))"
@@ -365,23 +343,14 @@ def run_reductions_suite(
     ks = tuple(k_values)
     graphs = [frozenset(g.edges) for g in all_graphs(vertex_count)]
 
-    domset_tasks = []
-    indset_tasks = []
-    clique_tasks = []
+    graph_tasks = []
     wd_tasks = []
     index = 0
-    for edges in graphs:
-        for k in ks:
-            domset_tasks.append((index, edges, vertex_count, k))
-            index += 1
-    for edges in graphs:
-        for k in ks:
-            indset_tasks.append((index, edges, vertex_count, k))
-            index += 1
-    for edges in graphs:
-        for k in (2, 3):
-            clique_tasks.append((index, edges, vertex_count, k))
-            index += 1
+    for problem in _GRAPH_ENCODERS:
+        for edges in graphs:
+            for k in ks:
+                graph_tasks.append((index, problem, edges, vertex_count, k))
+                index += 1
     for edges in graphs:
         for k in range(0, max(ks) + 1):
             wd_tasks.append((index, edges, vertex_count, k))
@@ -411,9 +380,7 @@ def run_reductions_suite(
             index += 1
 
     cases = []
-    cases += _run_cases(_domset_case, domset_tasks, jobs)
-    cases += _run_cases(_indset_case, indset_tasks, jobs)
-    cases += _run_cases(_clique_forward_case, clique_tasks, jobs)
+    cases += _run_cases(_graph_case, graph_tasks, jobs)
     cases += _run_cases(_wd_clique_case, wd_tasks, jobs)
     cases += _run_cases(_wsat_inclusion_case, wsat_tasks, jobs)
     cases += _run_cases(_theta_case, theta_tasks, jobs)

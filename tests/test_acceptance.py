@@ -77,9 +77,12 @@ def test_criterion_4_independent_set_reduction(reductions_report):
     assert all(c.status == "pass" for c in cases), [c for c in cases if c.status != "pass"][:5]
 
 
-def test_criterion_5_clique_forward_and_experiment(tmp_path):
+def test_criterion_5_clique_forward_and_experiment(tmp_path, reductions_report):
     report = run_clique_experiment(vertex_count=5, k_values=(2, 3))
     forward_ok = report.ok()
+    # weighted definability with a free relation S decides clique exactly
+    wd_cases = _subset(reductions_report, "wd-clique")
+    wd_ok = len(wd_cases) == 1024 * 4 and all(c.status == "pass" for c in wd_cases)
 
     # Independent oracle for the pentagon candidate: brute force over every
     # six-row team drawn from the ten ordered edge pairs (five edges, both
@@ -105,15 +108,18 @@ def test_criterion_5_clique_forward_and_experiment(tmp_path):
     if pentagon_discrepant:
         experiment_consistent = experiment_consistent and recorded["summary"]["discrepancies"] >= 1
 
-    ok = forward_ok and experiment_consistent
+    ok = forward_ok and experiment_consistent and wd_ok
     _announce(
         "5 clique-forward+experiment",
         ok,
         f"forward-failures={report.failed} discrepancies={report.discrepancies} "
-        f"pentagon-counterexample={'confirmed' if pentagon_discrepant else 'refuted'}",
+        f"pentagon-counterexample={'confirmed' if pentagon_discrepant else 'refuted'} "
+        f"wd-clique={len(wd_cases)}",
     )
     assert forward_ok, "forward direction broken"
     assert experiment_consistent
+    assert len(wd_cases) == 1024 * 4
+    assert all(c.status == "pass" for c in wd_cases), [c for c in wd_cases if c.status != "pass"][:5]
     # the witness team, when present, really is a six-row team of ordered pairs
     if found is not None:
         assert len(found) == 6

@@ -333,30 +333,3 @@ class TestVerify:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
         assert sizes == [3]
-
-
-class TestBench:
-    def test_header_only_on_empty_ranges(self, capsys):
-        code = main(["bench", "domset", "--seed", "3"])
-        assert code == 0
-        assert capsys.readouterr().out.strip() == "family,n,k,path,seconds,verdict"
-
-    def test_domset_rows_and_determinism(self, tmp_path):
-        first = tmp_path / "a.csv"
-        second = tmp_path / "b.csv"
-        for path in (first, second):
-            code = main([
-                "bench", "domset", "--n-range", "4:5", "--k-range", "1:2",
-                "--seed", "3", "--out", str(path),
-            ])
-            assert code == 0
-        strip = lambda text: [",".join(r.split(",")[:4] + r.split(",")[5:]) for r in text.splitlines()]
-        assert strip(first.read_text()) == strip(second.read_text())
-        assert len(first.read_text().splitlines()) == 5
-
-    def test_path_column_names_the_check_that_runs(self, capsys):
-        # k=0 encodes to the first-order guard x!=x, which is counted
-        code = main(["bench", "domset", "--n-range", "3:3", "--k-range", "0:1", "--seed", "3"])
-        assert code == 0
-        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-        assert [(row[2], row[3]) for row in rows] == [("0", "fo-counting"), ("1", "inclusion-fixpoint")]

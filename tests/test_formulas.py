@@ -346,7 +346,7 @@ class TestFacts:
 
 
 class TestDeepFormulas:
-    """Facts are set without recursion, so no depth makes them fail."""
+    """Facts are set and chains rendered without recursion, so no depth makes them fail."""
 
     def test_deep_conjunction(self):
         formula = parse(" & ".join(["x=x"] * 3000))
@@ -363,3 +363,9 @@ class TestDeepFormulas:
             formula = Exists("x", formula)
         report = classify(formula)
         assert (report.fragment, str(report.prefix), report.free_variables) == ("FO(dep)", "Sigma_1", frozenset())
+
+    @pytest.mark.parametrize("sep", [" & ", " | "])
+    def test_deep_chain_renders(self, sep):
+        # strings, not formulas, are compared: == on formulas still recurses
+        text = sep.join(["x=x"] * 3000)
+        assert render(parse(text)) == text
