@@ -333,3 +333,11 @@ class TestVerify:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
         assert sizes == [3]
+
+
+def test_bench_is_an_unknown_subcommand(capsys):
+    # bench/run.py is the timing harness; the command line has no bench loop
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "domset"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err

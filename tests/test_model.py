@@ -79,6 +79,43 @@ class TestStructure:
         assert s.relations["E"] == frozenset()
 
 
+class TestTeam:
+    def test_make_orders_columns_by_variable_name(self):
+        team = Team.make(["y", "x"], [{"x": 0, "y": 1}])
+        assert (team.variables, team.rows) == (("x", "y"), frozenset({(0, 1)}))
+
+    def test_make_deduplicates_rows(self):
+        team = Team.make(["x"], [(0,), (0,), {"x": 0}, (2,)])
+        assert team.rows == frozenset({(0,), (2,)})
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[{"x": 0}], [{"x": 0, "y": 1, "z": 2}], [(0,)], [(0, 1, 2)]],
+        ids=["missing-variable", "extra-variable", "short-row", "long-row"],
+    )
+    def test_make_rejects_rows_off_the_domain(self, rows):
+        with pytest.raises(ValueError):
+            Team.make(["x", "y"], rows)
+
+    @pytest.mark.parametrize(
+        "variables, rows",
+        [(("y", "x"), frozenset()), (("x", "x"), frozenset()), (("x",), frozenset({(0, 1)}))],
+        ids=["unsorted", "repeated", "row-length"],
+    )
+    def test_constructor_checks_the_domain(self, variables, rows):
+        with pytest.raises(ValueError):
+            Team(variables, rows)
+
+    def test_assignments_in_row_order(self):
+        team = Team.make(["x", "y"], [(1, 0), (0, 2)])
+        assert list(team.assignments()) == [{"x": 0, "y": 2}, {"x": 1, "y": 0}]
+
+    def test_full_team_assignments_follow_canonical_rows(self):
+        rows = canonical_rows(2, ["y", "x"])
+        team = Team(("x", "y"), frozenset(rows))
+        assert [(a["x"], a["y"]) for a in team.assignments()] == rows
+
+
 class TestDuplicate:
     def test_single_empty_assignment_expands_over_domain(self):
         team = Team.singleton_empty_assignment()
@@ -181,6 +218,17 @@ def test_duplicate_idempotent_on_present_variable(data):
     team = Team.make(["x", "y"], rows)
     once = duplicate(structure, team, "x")
     assert duplicate(structure, once, "x") == once
+
+
+@given(_small_team)
+@settings(max_examples=60, deadline=None)
+def test_duplicate_keeps_the_team_on_its_own_columns(data):
+    n, rows = data
+    structure = plain_structure(n)
+    team = Team.make(["x", "y"], rows)
+    out = duplicate(structure, team, "z")
+    assert len(out) == len(team) * n
+    assert frozenset(row[:2] for row in out.rows) == team.rows
 
 
 class TestStructureFormat:
