@@ -165,18 +165,11 @@ def cmd_reduce(args) -> int:
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if args.suite == "closure":
-        report = run_closure_suite(
-            seed,
-            cases_per_fragment=args.cases,
-            max_domain=args.max_domain,
-            max_team_rows=args.max_team,
-            jobs=args.jobs,
-        )
+        report = run_closure_suite(seed, cases_per_fragment=args.cases, jobs=args.jobs)
     elif args.suite == "reductions":
         report = run_reductions_suite(
             seed,
             vertex_count=args.vertices,
-            k_values=range(1, args.max_k + 1),
             wsat_samples=args.cases,
             theta_samples=args.cases,
             jobs=args.jobs,
@@ -190,7 +183,7 @@ def cmd_verify(args) -> int:
     elif args.suite == "clique-experiment":
         report = run_clique_experiment(vertex_count=args.vertices, jobs=args.jobs)
     elif args.suite == "circuit":
-        report = run_circuit_suite(seed, circuits=args.cases, max_gates=args.max_gates, jobs=args.jobs)
+        report = run_circuit_suite(seed, circuits=args.cases, jobs=args.jobs)
     else:
         raise TeamcheckError(f"unknown suite {args.suite!r}")
 
@@ -238,11 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("suite", choices=("closure", "reductions", "clique-experiment", "circuit"))
     verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--cases", type=int, default=100, help="random cases per family")
-    verify.add_argument("--max-domain", type=int, default=4)
-    verify.add_argument("--max-team", type=int, default=4)
     verify.add_argument("--vertices", type=int, default=4, help="graph size for exhaustive suites")
-    verify.add_argument("--max-k", type=int, default=3)
-    verify.add_argument("--max-gates", type=int, default=6)
     verify.add_argument("--jobs", type=int, default=1)
     verify.add_argument("--out", help="report file (stdout when omitted)")
     verify.add_argument("--json", action="store_true")
@@ -266,8 +255,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the formula tree is walked recursively; a chain this deep needs a
-        # flatter representation, not a traceback that reads as UNSAT
+        # parse loops, but the evaluators' compile walks and ``==``/``repr``
+        # on formulas still recurse; a formula this deep needs a flatter
+        # representation, not a traceback that reads as UNSAT
         print("error: formula nests too deeply for the recursive evaluator", file=sys.stderr)
         return 2
 

@@ -48,8 +48,8 @@ the solver: rows satisfying a first-order disjunct can be peeled off
 pointwise, and everything else must then satisfy the remaining
 disjunct.  In both readings an existential picks its values from the
 narrowed extensions only: the strict product and the lax cover search run
-over them, and the lax search streams once they exceed ``_SUBSET_LIMIT``
-rows.
+over them, and the cover search draws its supplements one at a time, so it
+builds no list of them however many extended rows there are.
 """
 
 from __future__ import annotations
@@ -84,9 +84,9 @@ from .model import Memo, Row, Structure, Team, extension_memo
 # Row-set memo entries one evaluator may hold; verdicts never depend on it.
 MAX_CACHE_ENTRIES = 1 << 20
 
-# Above this many rows the subset-lattice searches fall back to streaming
-# enumeration, which stays correct but may be very slow on unsatisfiable
-# input.
+# Above this many rows the lax disjunction's subset lattice falls back to
+# streaming enumeration, which stays correct but may be very slow on
+# unsatisfiable input.
 _SUBSET_LIMIT = 20
 
 Rows = frozenset[Row]
@@ -281,22 +281,6 @@ def _or_streaming(left: Node, right: Node, rows: list[Row]) -> bool:
     return False
 
 
-def _exists_streaming(body: Node, per_row: list[tuple[Row, ...]]) -> bool:
-    options = []
-    for exts in per_row:
-        row_options = []
-        for size in range(1, len(exts) + 1):
-            row_options.extend(itertools.combinations(exts, size))
-        options.append(row_options)
-    for choice in itertools.product(*options):
-        chosen: set[Row] = set()
-        for group in choice:
-            chosen.update(group)
-        if body(frozenset(chosen)):
-            return True
-    return False
-
-
 def _parts(extensions: Memo, rows: Rows) -> list[tuple[Row, ...]] | None:
     """Each row's extensions in row order, or ``None`` at the first row that has none."""
     parts = []
@@ -481,8 +465,6 @@ class _Evaluator:
             part_of = {row: i for i, part in enumerate(parts) for row in part}
             drows = sorted(part_of)
             count = len(drows)
-            if count > _SUBSET_LIMIT:
-                return _exists_streaming(body, per_row)
             parts_of = [part_of[row] for row in drows]
             for size in range(len(parts), count + 1):
                 for combo in itertools.combinations(range(count), size):

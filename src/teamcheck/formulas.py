@@ -10,6 +10,11 @@ Concrete syntax: ``&``, ``|``, ``!`` (before relation atoms only), ``=``,
 the left without parentheses; mixing ``&`` and ``|`` requires parentheses.
 A quantifier binds exactly the next unit, so compound bodies are
 parenthesized: ``forall x exists y (inc(y;z) & (E(x,y) | x=y))``.
+``parse`` reads this with the front end that ``prop.parse_prop`` shares
+(``scan``, ``Cursor``, ``parse_chains``); it keeps open parentheses on a
+stack, not the call stack, so no nesting depth raises ``RecursionError``.
+``render`` loops over chains and quantifier prefixes, and recurses only
+into parenthesised operands.
 
 The independence atom is written with the conditioning tuple first:
 ``indep(c;a;b)`` states that ``a`` and ``b`` vary independently among rows
@@ -391,8 +396,12 @@ def render(formula: Formula) -> str:
         sep = " & " if isinstance(formula, And) else " | "
         return sep.join(_render_operand(part) for part in _chain(formula, type(formula)))
     if isinstance(formula, (Exists, Forall)):
-        kw = "exists" if isinstance(formula, Exists) else "forall"
-        return f"{kw} {formula.variable} {_render_operand(formula.body)}"
+        prefix = []
+        while isinstance(formula, (Exists, Forall)):
+            kw = "exists" if isinstance(formula, Exists) else "forall"
+            prefix.append(f"{kw} {formula.variable} ")
+            formula = formula.body
+        return "".join(prefix) + _render_operand(formula)
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -403,195 +412,182 @@ def _render_operand(formula: Formula) -> str:
 
 
 # --- parsing ----------------------------------------------------------------
+#
+# One front end reads formulas here and propositional formulas in ``prop``:
+# ``scan`` turns a text into tokens, a ``Cursor`` walks them, and
+# ``parse_chains`` reads units joined by ``&`` or ``|``.  A grammar supplies
+# its token pattern, its atom parser and its joins.
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    rf"|(?P<name>{NAME})"
-    r"|(?P<neq>!=)"
-    r"|(?P<sym>[()&|!=;,])"
-)
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+Token = tuple[str, str, int]  # kind, text, offset
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        chunk = m.group(0)
-        if m.lastgroup == "name":
-            kind = chunk if chunk in KEYWORDS else "name"
-            tokens.append(_Token(kind, chunk, line, col))
-        elif m.lastgroup == "neq":
-            tokens.append(_Token("!=", chunk, line, col))
-        elif m.lastgroup == "sym":
-            tokens.append(_Token(chunk, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+def _error(text: str, offset: int, message: str) -> ParseError:
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+
+def scan(pattern: re.Pattern, text: str, keywords: frozenset[str] = frozenset()) -> list[Token]:
+    """The tokens of ``text``, ending in ``("eof", "", len(text))``.
+
+    ``pattern`` has a group ``ws`` (skipped), a group ``sym`` (punctuation,
+    whose kind is its text), a catch-all group ``bad`` (an unexpected
+    character) and others whose name is their kind; a keyword's kind is its
+    text.
+    """
+    tokens = []
+    for m in pattern.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        chunk = m.group()
+        if kind == "bad":
+            raise _error(text, m.start(), f"unexpected character {chunk!r}")
+        if kind == "sym" or chunk in keywords:
+            kind = chunk
+        tokens.append((kind, chunk, m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, vocabulary: Vocabulary | None):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.vocabulary = vocabulary
+class Cursor:
+    """A position in the tokens of ``text``; errors are located by offset."""
 
-    def peek(self) -> _Token:
+    def __init__(self, pattern: re.Pattern, text: str, keywords: frozenset[str] = frozenset()):
+        self.text = text
+        self.tokens = scan(pattern, text, keywords)
+        self.pos = 0
+
+    def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str) -> Token:
         tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, got {tok.text or 'end of input'!r}", tok.line, tok.column)
+        if tok[0] != kind:
+            raise self.fail(f"expected {kind!r}, got {tok[1] or 'end of input'!r}", tok)
         return tok
 
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
+    def fail(self, message: str, tok: Token | None = None) -> ParseError:
+        """An error at ``tok``, by default the next token."""
+        return _error(self.text, (tok or self.peek())[2], message)
 
-    # expr := unit (op unit)* with a single connective kind per chain
-    def parse_expr(self) -> Formula:
-        first = self.parse_unit()
-        op = self.peek().kind
-        if op not in ("&", "|"):
-            return first
-        parts = [first]
-        while self.peek().kind == op:
-            self.next()
-            parts.append(self.parse_unit())
-        if self.peek().kind in ("&", "|"):
-            raise self.fail("mixing '&' and '|' requires parentheses")
-        return and_all(parts) if op == "&" else or_all(parts)
 
-    def parse_unit(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        if tok.kind in ("exists", "forall"):
-            self.next()
-            var = self.expect("name").text
-            body = self.parse_unit()
-            return Exists(var, body) if tok.kind == "exists" else Forall(var, body)
-        if tok.kind == "!":
-            self.next()
-            name = self.expect("name")
-            self.expect("(")
-            terms = self.parse_term_list(")")
-            self.expect(")")
-            self.check_relation(name, terms)
-            return NegRel(name.text, terms)
-        if tok.kind == "dep":
-            self.next()
-            self.expect("(")
-            determinants = self.parse_term_list(";")
-            self.expect(";")
-            determined = self.parse_term_list(")")
-            self.expect(")")
-            return self.build(Dep, tok, determinants, determined)
-        if tok.kind == "inc":
-            self.next()
-            self.expect("(")
-            left = self.parse_term_list(";")
-            self.expect(";")
-            right = self.parse_term_list(")")
-            self.expect(")")
-            return self.build(Inc, tok, left, right)
-        if tok.kind == "indep":
-            self.next()
-            self.expect("(")
-            condition = self.parse_term_list(";")
-            self.expect(";")
-            left = self.parse_term_list(";")
-            self.expect(";")
-            right = self.parse_term_list(")")
-            self.expect(")")
-            return self.build(Indep, tok, condition, left, right)
-        if tok.kind == "name":
-            self.next()
-            if self.peek().kind == "(":
-                self.next()
-                terms = self.parse_term_list(")")
-                self.expect(")")
-                self.check_relation(tok, terms)
-                return Rel(tok.text, terms)
-            left = self.make_term(tok.text)
-            nxt = self.next()
-            if nxt.kind == "=":
-                right_tok = self.expect("name")
-                return Eq(left, self.make_term(right_tok.text))
-            if nxt.kind == "!=":
-                right_tok = self.expect("name")
-                return Neq(left, self.make_term(right_tok.text))
-            raise ParseError("expected '=' or '!=' after a term", nxt.line, nxt.column)
-        raise self.fail(f"unexpected {tok.text or 'end of input'!r}")
+def _bind(prefix: list, unit):
+    for cls, variable in reversed(prefix):
+        unit = cls(variable, unit)
+    return unit
 
-    def build(self, cls, tok: _Token, *tuples: Terms) -> Formula:
-        try:
-            return cls(*tuples)
-        except ValueError as exc:
-            raise ParseError(str(exc), tok.line, tok.column) from exc
 
-    def parse_term_list(self, closer: str) -> Terms:
-        terms: list[Term] = []
-        if self.peek().kind == closer:
-            return ()
-        while True:
-            name = self.expect("name")
-            terms.append(self.make_term(name.text))
-            if self.peek().kind == ",":
-                self.next()
-                continue
-            return tuple(terms)
+def parse_chains(cursor: Cursor, atom, joins: dict, quantifiers: dict):
+    """Read the whole text: units joined by one connective per parenthesised group.
 
-    def make_term(self, name: str) -> Term:
-        if self.vocabulary is not None and self.vocabulary.has_constant(name):
-            return Const(name)
-        return Var(name)
+    ``unit := '(' chain ')' | quantifier name unit | atom`` and ``chain :=
+    unit (op unit)*``, one op of ``joins`` per chain.  ``atom(cursor)``
+    reads any other unit; ``joins[op](parts)`` builds a chain of two or
+    more parts; ``quantifiers`` maps a keyword to the class that binds its
+    variable in the next unit.  Open groups wait on a stack, so nesting
+    depth is bounded by memory, not by the recursion limit.
+    """
+    stack = []  # the enclosing groups' (prefix, parts, op)
+    prefix, parts, op = [], [], None  # the innermost open group's
+    while True:
+        unit_prefix = []
+        while cursor.peek()[0] in quantifiers:
+            cls = quantifiers[cursor.next()[0]]
+            unit_prefix.append((cls, cursor.expect("name")[1]))
+        if cursor.peek()[0] == "(":
+            cursor.next()
+            stack.append((prefix, parts, op))
+            prefix, parts, op = unit_prefix, [], None
+            continue
+        unit = _bind(unit_prefix, atom(cursor))
+        while True:  # close every group that this unit ends
+            parts.append(unit)
+            kind = cursor.peek()[0]
+            if kind in joins:
+                op = op or kind
+                if kind != op:
+                    raise cursor.fail("mixing '&' and '|' requires parentheses")
+                cursor.next()
+                break
+            unit = joins[op](parts) if op else parts[0]
+            if not stack:
+                tok = cursor.peek()
+                if tok[0] != "eof":
+                    raise cursor.fail(f"unexpected trailing input {tok[1]!r}")
+                return unit
+            cursor.expect(")")
+            unit = _bind(prefix, unit)
+            prefix, parts, op = stack.pop()
 
-    def check_relation(self, tok: _Token, terms: Terms) -> None:
-        if self.vocabulary is None:
-            return
-        arity = self.vocabulary.relation_arity(tok.text)
-        if arity is None:
-            raise ParseError(f"unknown relation {tok.text!r}", tok.line, tok.column)
-        if arity != len(terms):
-            raise ParseError(
-                f"relation {tok.text!r} has arity {arity}, got {len(terms)} arguments",
-                tok.line,
-                tok.column,
-            )
+
+_TOKEN_RE = re.compile(rf"(?P<ws>\s+)|(?P<name>{NAME})|(?P<sym>!=|[()&|!=;,])|(?P<bad>.)")
+_JOINS = {"&": and_all, "|": or_all}
+_QUANTIFIERS = {"exists": Exists, "forall": Forall}
+_TEAM_ATOMS = {"dep": (Dep, (";", ")")), "inc": (Inc, (";", ")")), "indep": (Indep, (";", ";", ")"))}
 
 
 def parse(text: str, vocabulary: Vocabulary | None = None) -> Formula:
     """Parse a formula; with a vocabulary, resolve constants and check arities."""
-    parser = _Parser(text, vocabulary)
-    formula = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
-    return formula
+
+    def term(name: str) -> Term:
+        if vocabulary is not None and vocabulary.has_constant(name):
+            return Const(name)
+        return Var(name)
+
+    def terms(closer: str) -> Terms:
+        if cursor.peek()[0] == closer:
+            return ()
+        found = [term(cursor.expect("name")[1])]
+        while cursor.peek()[0] == ",":
+            cursor.next()
+            found.append(term(cursor.expect("name")[1]))
+        return tuple(found)
+
+    def relation(tok: Token) -> Terms:
+        cursor.expect("(")
+        args = terms(")")
+        cursor.expect(")")
+        if vocabulary is not None:
+            arity = vocabulary.relation_arity(tok[1])
+            if arity is None:
+                raise cursor.fail(f"unknown relation {tok[1]!r}", tok)
+            if arity != len(args):
+                raise cursor.fail(f"relation {tok[1]!r} has arity {arity}, got {len(args)} arguments", tok)
+        return args
+
+    def atom(cursor: Cursor) -> Formula:
+        tok = cursor.next()
+        kind = tok[0]
+        if kind == "!":
+            name = cursor.expect("name")
+            return NegRel(name[1], relation(name))
+        if kind in _TEAM_ATOMS:
+            cls, closers = _TEAM_ATOMS[kind]
+            cursor.expect("(")
+            tuples = []
+            for closer in closers:
+                tuples.append(terms(closer))
+                cursor.expect(closer)
+            try:
+                return cls(*tuples)
+            except ValueError as exc:
+                raise cursor.fail(str(exc), tok) from exc
+        if kind == "name":
+            if cursor.peek()[0] == "(":
+                return Rel(tok[1], relation(tok))
+            left = term(tok[1])
+            nxt = cursor.next()
+            if nxt[0] == "=":
+                return Eq(left, term(cursor.expect("name")[1]))
+            if nxt[0] == "!=":
+                return Neq(left, term(cursor.expect("name")[1]))
+            raise cursor.fail("expected '=' or '!=' after a term", nxt)
+        raise cursor.fail(f"unexpected {tok[1] or 'end of input'!r}", tok)
+
+    cursor = Cursor(_TOKEN_RE, text, KEYWORDS)
+    return parse_chains(cursor, atom, _JOINS, _QUANTIFIERS)

@@ -262,6 +262,14 @@ def is_numeral(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def text_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """Number, stripped text and words of each line left nonblank once its ``#`` comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line, line.split()
+
+
 def _symbol(name: str, lineno: int, lines: dict[str, int]) -> str:
     """A newly declared symbol's name, recorded with its line."""
     if name in KEYWORDS:
@@ -288,11 +296,7 @@ def parse_structure(text: str) -> Structure:
     relations: dict[str, frozenset[Row]] = {}
     constants: dict[str, int] = {}
     lines: dict[str, int] = {}  # the line declaring each symbol
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, line, parts in text_lines(text):
         if parts[0] == "domain":
             if len(parts) != 2 or not is_numeral(parts[1]):
                 raise ParseError("expected `domain <n>`", lineno, 1)
@@ -356,11 +360,7 @@ def render_structure(structure: Structure) -> str:
 def parse_team(text: str, default_variables: Iterable[str] = ()) -> Team:
     variables: tuple[str, ...] | None = None
     rows: list[dict[str, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, _, parts in text_lines(text):
         if parts[0] == "vars":
             variables = tuple(sorted(set(parts[1:])))
             continue

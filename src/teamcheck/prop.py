@@ -2,7 +2,8 @@
 
 Variables are written ``x<id>``; ``!`` negates a variable.  Chains of one
 connective parse as a single n-ary node; mixing ``&`` and ``|`` requires
-parentheses.
+parentheses.  ``parse_prop`` supplies only its token pattern, its literal
+parser and its n-ary joins to the expression front end in ``formulas``.
 
 The shape classes used here stratify formulas by alternation depth ``t``
 and literal-block fan-in ``d``: depth 0 is a block of at most ``d``
@@ -17,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import ParseError
+from .formulas import Cursor, parse_chains
 
 
 class PropFormula:
@@ -195,75 +196,24 @@ def normalize_layered(formula: PropFormula, depth: int) -> PropFormula:
 
 # --- concrete syntax ----------------------------------------------------------
 
-_PTOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<var>x[0-9]+)|(?P<sym>[()&|!])")
+_PTOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<var>x[0-9]+)|(?P<sym>[()&|!])|(?P<bad>.)")
+_PJOINS = {"&": lambda parts: PAnd(tuple(parts)), "|": lambda parts: POr(tuple(parts))}
+
+
+def _literal(cursor: Cursor) -> PropFormula:
+    tok = cursor.next()
+    if tok[0] == "!":
+        var = cursor.next()
+        if var[0] != "var":
+            raise cursor.fail("'!' must be followed by a variable", var)
+        return PLit(int(var[1][1:]), positive=False)
+    if tok[0] == "var":
+        return PLit(int(tok[1][1:]), positive=True)
+    raise cursor.fail(f"unexpected {tok[1] or 'end of input'!r}", tok)
 
 
 def parse_prop(text: str) -> PropFormula:
-    tokens: list[tuple[str, str, int, int]] = []  # kind, text, line, column
-    line = 1
-    col = 1
-    pos = 0
-    while pos < len(text):
-        m = _PTOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        chunk = m.group(0)
-        if m.lastgroup == "var":
-            tokens.append(("var", chunk, line, col))
-        elif m.lastgroup == "sym":
-            tokens.append((chunk, chunk, line, col))
-        if "\n" in chunk:
-            line += chunk.count("\n")
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(("eof", "", line, col))
-    cursor = 0
-
-    def peek() -> tuple[str, str, int, int]:
-        return tokens[cursor]
-
-    def advance() -> tuple[str, str, int, int]:
-        nonlocal cursor
-        token = tokens[cursor]
-        cursor += 1
-        return token
-
-    def parse_unit() -> PropFormula:
-        kind, textval, token_line, column = advance()
-        if kind == "(":
-            inner = parse_expr()
-            closing = advance()
-            if closing[0] != ")":
-                raise ParseError("expected ')'", *closing[2:])
-            return inner
-        if kind == "!":
-            kind2, text2, line2, col2 = advance()
-            if kind2 != "var":
-                raise ParseError("'!' must be followed by a variable", line2, col2)
-            return PLit(int(text2[1:]), positive=False)
-        if kind == "var":
-            return PLit(int(textval[1:]), positive=True)
-        raise ParseError(f"unexpected {textval or 'end of input'!r}", token_line, column)
-
-    def parse_expr() -> PropFormula:
-        first = parse_unit()
-        op = peek()[0]
-        if op not in ("&", "|"):
-            return first
-        parts = [first]
-        while peek()[0] == op:
-            advance()
-            parts.append(parse_unit())
-        if peek()[0] in ("&", "|"):
-            raise ParseError("mixing '&' and '|' requires parentheses", *peek()[2:])
-        return PAnd(tuple(parts)) if op == "&" else POr(tuple(parts))
-
-    result = parse_expr()
-    if peek()[0] != "eof":
-        raise ParseError(f"unexpected trailing input {peek()[1]!r}", *peek()[2:])
-    return result
+    return parse_chains(Cursor(_PTOKEN_RE, text), _literal, _PJOINS, {})
 
 
 def render_prop(formula: PropFormula) -> str:

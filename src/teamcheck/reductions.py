@@ -37,7 +37,7 @@ from .formulas import (
     Var,
     parse,
 )
-from .model import Structure, Vocabulary, is_numeral
+from .model import Structure, Vocabulary, is_numeral, text_lines
 from .prop import (
     PLit,
     PropFormula,
@@ -93,11 +93,7 @@ def parse_graph(text: str) -> Graph:
     vertex_count: int | None = None
     declared_edges: int | None = None
     edges: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, _, parts in text_lines(text):
         if parts[0] == "p":
             if len(parts) != 3 or not all(map(is_numeral, parts[1:])):
                 raise ParseError("expected `p <n> <m>`", lineno, 1)
@@ -471,11 +467,7 @@ def parse_circuit(text: str) -> BooleanCircuit:
     kinds: dict[int, str] = {}
     edges: set[tuple[int, int]] = set()
     output: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, line, parts in text_lines(text):
         if parts[0] == "gate" and len(parts) == 3 and is_numeral(parts[1]) and parts[2] in ("and", "or", "input"):
             kinds[int(parts[1])] = parts[2]
         elif parts[0] == "edge" and len(parts) == 3 and is_numeral(parts[1]) and is_numeral(parts[2]):

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from teamcheck.cli import main
+from teamcheck.cli import build_parser, main
 from teamcheck.evaluator import eval_team
 from teamcheck.formulas import parse
 from teamcheck.model import Team, parse_structure, render_team
@@ -203,6 +203,13 @@ class TestDeepFormulas:
         assert captured.out == ""
         assert "formula nests too deeply" in captured.err
 
+    def test_deep_parentheses_parse(self, k3_files, capsys):
+        structure, team = k3_files
+        text = "(" * 1500 + "x=x" + ")" * 1500
+        code = main(["check", "--structure", str(structure), "--formula", text, "--team", str(team)])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0] == "SAT"
+
 
 class TestReduce:
     def test_clique_reduction_outputs(self, tmp_path, capsys):
@@ -275,6 +282,13 @@ class TestReduce:
 
 
 class TestVerify:
+    def test_settable_values(self):
+        # the suites' size limits are left at their defaults
+        args = build_parser().parse_args(["verify", "closure"])
+        assert sorted(set(vars(args)) - {"command", "func", "suite"}) == [
+            "cases", "jobs", "json", "out", "seed", "vertices",
+        ]
+
     def test_closure_suite_small(self, tmp_path, capsys):
         report_path = tmp_path / "closure.txt"
         code = main([

@@ -657,7 +657,7 @@ class TestExistsNarrowing:
     def test_narrowing_below_the_subset_limit_keeps_the_fixpoint_verdict(self):
         # 6 rows over 4 elements duplicate to 24 > _SUBSET_LIMIT rows, but
         # each row passes E(u,y) | u=y for at most two u, so the cover
-        # search runs instead of the streaming fallback.
+        # search stays small.
         formula = parse("exists u (inc(u;x) & (E(u,y) | u=y))")
         structure = graph_structure(4, [(0, 1), (2, 3), (3, 0)])
         rng = SplitMix64(8)
@@ -670,6 +670,20 @@ class TestExistsNarrowing:
             assert verdict == eval_inclusion(structure, team, formula), sorted(team.rows)
             verdicts[verdict] += 1
         assert verdicts[True] and verdicts[False]
+
+    @pytest.mark.parametrize("text, size, passing", [("exists u inc(u;x)", 6, 4), ("exists u (inc(u;x) & u!=y)", 8, 3)])
+    def test_more_extended_rows_than_the_subset_limit_keep_the_fixpoint_verdict(self, text, size, passing):
+        # The cover search draws supplements one at a time at any number of
+        # distinct extended rows; satisfiable teams end it early.
+        formula = parse(text)
+        structure = graph_structure(4, [])
+        rng = SplitMix64(8)
+        rows = canonical_rows(4, ["x", "y"])
+        for _ in range(5):
+            team = Team(("x", "y"), frozenset(rng.sample(rows, size)))
+            assert len(team) * passing > _SUBSET_LIMIT
+            assert eval_inclusion(structure, team, formula) is True
+            assert eval_team(structure, team, formula) is True, sorted(team.rows)
 
 
 class TestCacheBound:

@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,30 @@ class TestParse:
             parse("E(x,y) &")
         assert err.value.line == 1
         assert err.value.column is not None
+
+    @pytest.mark.parametrize(
+        "text, vocabulary, where",
+        [
+            ("x=x &\n  y=é", None, "line 2, column 5: unexpected character 'é'"),
+            ("exists\n  (x=x)", None, "line 2, column 3: expected 'name', got '('"),
+            ("(x=x &\n  y=y", None, "line 2, column 6: expected ')', got 'end of input'"),
+            ("E(x,y)\n& x=y |\n  x=x", None, "line 2, column 7: mixing '&' and '|' requires parentheses"),
+            ("x=x\n\n  y=y", None, "line 3, column 3: unexpected trailing input 'y'"),
+            ("x=x &\n\n  )", None, "line 3, column 3: unexpected ')'"),
+            ("x=x &\n\n", None, "line 3, column 1: unexpected 'end of input'"),
+            ("x=x &\n  y y", None, "line 2, column 5: expected '=' or '!=' after a term"),
+            ("x=x &\n  F(x,y)", GRAPH_VOCAB, "line 2, column 3: unknown relation 'F'"),
+            ("x=x &\n  E(x)", GRAPH_VOCAB, "line 2, column 3: relation 'E' has arity 2, got 1 arguments"),
+            ("x=x &\n !E(x,y,x)", GRAPH_VOCAB, "line 2, column 3: relation 'E' has arity 2, got 3 arguments"),
+            ("x=x &\n  dep(x;)", None, "line 2, column 3: dependence atom needs at least one determined term"),
+            ("x=x &\n  inc(x;x,y)", None, "line 2, column 3: inclusion atom needs two nonempty tuples"),
+            ("x=x &\n  indep(;;x)", None, "line 2, column 3: independence atom needs nonempty left and right"),
+        ],
+    )
+    def test_errors_report_the_line_and_column_of_the_bad_token(self, text, vocabulary, where):
+        # ParseError writes its .line and .column into the message
+        with pytest.raises(ParseError, match=f"^{re.escape(where)}"):
+            parse(text, vocabulary)
 
     def test_arity_mismatch_with_vocabulary(self):
         with pytest.raises(ParseError):
@@ -346,7 +371,7 @@ class TestFacts:
 
 
 class TestDeepFormulas:
-    """Facts are set and chains rendered without recursion, so no depth makes them fail."""
+    """Facts are set, texts parsed and chains and prefixes rendered without recursion, so no depth makes them fail."""
 
     def test_deep_conjunction(self):
         formula = parse(" & ".join(["x=x"] * 3000))
@@ -369,3 +394,16 @@ class TestDeepFormulas:
         # strings, not formulas, are compared: == on formulas still recurses
         text = sep.join(["x=x"] * 3000)
         assert render(parse(text)) == text
+
+    def test_deep_quantifier_prefix_parses_and_renders(self):
+        text = "exists x " * 3000 + "x=x"
+        assert render(parse(text)) == text
+
+    def test_deep_parentheses_parse(self):
+        assert parse("(" * 5000 + "x=x" + ")" * 5000) == parse("x=x")
+        nested = "".join(f"(x=x {'&' if i % 2 else '|'} " for i in range(5000)) + "x=x" + ")" * 5000
+        formula = parse(nested)
+        for i in range(5000):
+            assert isinstance(formula, And if i % 2 else Or)
+            formula = formula.right
+        assert formula == parse("x=x")

@@ -71,3 +71,32 @@ def test_only_teamcheck_errors_escape(fmt):
             pass
 
     run()
+
+
+# Deep nesting: the expression parsers keep open groups on a stack of their
+# own, so depth is bounded by memory, not by the recursion limit.  Each text
+# comes with whether it parses.
+DEPTH = 5000
+DEEP = [
+    ("formula", "(" * DEPTH + "x=x" + ")" * DEPTH, True),
+    ("formula", "exists x " * DEPTH + "x=x", True),
+    ("formula", "forall x (" * DEPTH + "x=x" + ")" * DEPTH, True),
+    ("formula", "(x=x & " * DEPTH + "x=x" + ")" * DEPTH, True),
+    ("formula", "(" * DEPTH + "x=x", False),
+    ("formula", "x=x" + ")" * DEPTH, False),
+    ("formula", "exists x (" * DEPTH + "x=x" + ")" * (DEPTH - 1), False),
+    ("prop", "(" * DEPTH + "x1" + ")" * DEPTH, True),
+    ("prop", "(!x1 | " * DEPTH + "x1" + ")" * DEPTH, True),
+    ("prop", "(" * DEPTH + "x1" + ")" * (DEPTH - 1), False),
+    ("prop", "(" * (DEPTH - 1) + "x1" + ")" * DEPTH, False),
+    ("prop", "!" * DEPTH + "x1", False),
+]
+
+
+@pytest.mark.parametrize("fmt, text, parses", DEEP, ids=range(len(DEEP)))
+def test_deep_nesting_only_teamcheck_errors_escape(fmt, text, parses):
+    if parses:
+        PARSERS[fmt](text)
+    else:
+        with pytest.raises(TeamcheckError):
+            PARSERS[fmt](text)
