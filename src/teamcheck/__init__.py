@@ -40,7 +40,7 @@ from .model import (
     render_structure,
     render_team,
 )
-from .prop import PAnd, PLit, POr, PropFormula, gamma_class, parse_prop, render_prop
+from .prop import PAnd, PLit, POr, PropFormula, parse_prop, render_prop
 from .reductions import (
     BooleanCircuit,
     Graph,
@@ -51,11 +51,9 @@ from .reductions import (
     encode_indset,
     encode_wsat,
     graph_brute,
-    parse_circuit,
     parse_graph,
     phi_inclusion,
     proof_tree_exists,
-    render_circuit,
     render_graph,
     theta_formula,
     wsat_brute,

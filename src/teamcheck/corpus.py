@@ -194,10 +194,10 @@ def random_formula(
     fragment: str,
     domain_size: int,
     team_size: int,
-    free_pool: tuple[str, ...] = ("x", "y"),
     budget: float = DEFAULT_BUDGET,
 ) -> Formula:
-    """A budgeted random formula of quantifier depth <= 2 for one fragment."""
+    """A budgeted random formula of quantifier depth <= 2 over free ``x``, ``y``."""
+    free_pool = ("x", "y")
     bound_pool = ("u", "v")
     for _ in range(300):
         prefix = rng.choice(_PREFIX_SHAPES)
@@ -241,10 +241,9 @@ def random_layered_prop(
     rng: random.Random,
     depth: int,
     positive: bool,
-    max_variables: int = 6,
 ) -> PropFormula:
-    """A uniform-polarity formula shaped as strict and/or layers over literals."""
-    variables = list(range(1, max_variables + 1))
+    """A uniform-polarity formula shaped as strict and/or layers over ``x1``..``x6``."""
+    variables = list(range(1, 7))
 
     def build(level: int) -> PropFormula:
         if level == depth:
@@ -263,13 +262,6 @@ def all_graphs(vertex_count: int) -> Iterator[Graph]:
     slots = list(itertools.combinations(range(vertex_count), 2))
     for bits in itertools.product((False, True), repeat=len(slots)):
         yield Graph.make(vertex_count, (e for e, b in zip(slots, bits) if b))
-
-
-def random_graph(rng: random.Random, vertex_count: int, edge_probability: float = 0.5) -> Graph:
-    edges = [
-        e for e in itertools.combinations(range(vertex_count), 2) if rng.random() < edge_probability
-    ]
-    return Graph.make(vertex_count, edges)
 
 
 def random_circuit(rng: random.Random, max_gates: int = 6) -> BooleanCircuit:

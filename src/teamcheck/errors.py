@@ -6,7 +6,7 @@ class TeamcheckError(Exception):
 
 
 class ParseError(TeamcheckError):
-    """Syntax or arity error in a formula, structure, team, graph, or circuit text."""
+    """Syntax or arity error in a formula, structure, team, graph, or propositional formula text."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line

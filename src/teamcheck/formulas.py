@@ -421,9 +421,13 @@ def _render_operand(formula: Formula) -> str:
 Token = tuple[str, str, int]  # kind, text, offset
 
 
+def position(text: str, offset: int) -> tuple[int, int]:
+    """The line and column, both from 1, of ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 def _error(text: str, offset: int, message: str) -> ParseError:
-    line = text.count("\n", 0, offset) + 1
-    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+    return ParseError(message, *position(text, offset))
 
 
 def scan(pattern: re.Pattern, text: str, keywords: frozenset[str] = frozenset()) -> list[Token]:

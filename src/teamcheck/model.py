@@ -262,8 +262,19 @@ def is_numeral(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def numeral(text: str, line: int, column: int = 1) -> int:
+    """``int(text)``; a numeral with more digits than ``int`` reads is a ``ParseError`` at the place given."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"numeral of {len(text)} digits is too long", line, column) from None
+
+
 def text_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
-    """Number, stripped text and words of each line left nonblank once its ``#`` comment is cut."""
+    """Number, stripped text and words of each line left nonblank once its ``#`` comment is cut.
+
+    The three line formats read this way are structures, teams and graphs.
+    """
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -300,12 +311,12 @@ def parse_structure(text: str) -> Structure:
         if parts[0] == "domain":
             if len(parts) != 2 or not is_numeral(parts[1]):
                 raise ParseError("expected `domain <n>`", lineno, 1)
-            domain_size, domain_line = int(parts[1]), lineno
+            domain_size, domain_line = numeral(parts[1], lineno), lineno
         elif parts[0] == "rel":
             m = re.match(rf"rel\s+({NAME})/([0-9]+)\s*:(.*)$", line)
             if not m:
                 raise ParseError("expected `rel <name>/<arity> : (a,b) ...`", lineno, 1)
-            name, arity, rest = _symbol(m.group(1), lineno, lines), int(m.group(2)), m.group(3)
+            name, arity, rest = _symbol(m.group(1), lineno, lines), numeral(m.group(2), lineno), m.group(3)
             with _at_line(lineno):
                 _check_arity(name, arity)
             tuples: set[Row] = set()
@@ -316,14 +327,14 @@ def parse_structure(text: str) -> Structure:
                 items = [s.strip() for s in grp.split(",") if s.strip()]
                 if len(items) != arity:
                     raise ParseError(f"tuple ({grp}) does not have arity {arity}", lineno, 1)
-                tuples.add(tuple(int(s) for s in items))
+                tuples.add(tuple(numeral(s, lineno) for s in items))
             arities[name] = arity
             relations[name] = frozenset(tuples)
         elif parts[0] == "const":
             m = re.match(rf"const\s+({NAME})\s*=\s*([0-9]+)$", line)
             if not m:
                 raise ParseError("expected `const <name> = <id>`", lineno, 1)
-            constants[_symbol(m.group(1), lineno, lines)] = int(m.group(2))
+            constants[_symbol(m.group(1), lineno, lines)] = numeral(m.group(2), lineno)
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno, 1)
     if domain_size is None:
@@ -373,7 +384,7 @@ def parse_team(text: str, default_variables: Iterable[str] = ()) -> Team:
                 raise ParseError(f"value for {var!r} is not an integer", lineno, 1)
             if var in binding:
                 raise ParseError(f"variable {var!r} bound twice", lineno, 1)
-            binding[var] = int(val)
+            binding[var] = numeral(val, lineno)
         rows.append(binding)
     if variables is None:
         variables = tuple(sorted(set(rows[0]))) if rows else tuple(sorted(set(default_variables)))

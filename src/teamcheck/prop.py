@@ -1,15 +1,15 @@
-"""Propositional formulas with alternating and/or shape analysis.
+"""Propositional formulas and their layered normal form.
 
 Variables are written ``x<id>``; ``!`` negates a variable.  Chains of one
 connective parse as a single n-ary node; mixing ``&`` and ``|`` requires
 parentheses.  ``parse_prop`` supplies only its token pattern, its literal
 parser and its n-ary joins to the expression front end in ``formulas``.
 
-The shape classes used here stratify formulas by alternation depth ``t``
-and literal-block fan-in ``d``: depth 0 is a block of at most ``d``
-literals, and each further level alternates conjunction/disjunction, with
-conjunction outermost.  Single-child layers are transparent, so ``x1 & x2``
-also lives at depth 1 with fan-in 1.
+The layered form of alternation depth ``t`` has ``t`` levels of
+connectives over single literals, alternating conjunction/disjunction with
+conjunction outermost.  ``layered_depth`` finds the least ``t`` a tree fits
+once single-child layers are read as transparent, so ``x1 & x2`` has depth
+1 and ``x1 | x2`` depth 2; ``normalize_layered`` inserts those layers.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .formulas import Cursor, parse_chains
+from .formulas import Cursor, parse_chains, position
+from .model import numeral
 
 
 class PropFormula:
@@ -95,66 +96,13 @@ def polarity(formula: PropFormula) -> str:
     return "mixed"
 
 
-# --- shape classification -----------------------------------------------------
-
-@dataclass(frozen=True)
-class GammaShape:
-    depth: int
-    fanin: int
-    polarity: str
-
-
-def _is_literal_block(node: PropFormula, connective, fanin: int) -> bool:
-    if isinstance(node, PLit):
-        return True
-    return isinstance(node, connective) and len(node.children) <= fanin and all(
-        isinstance(c, PLit) for c in node.children
-    )
-
-
-def _in_conj_class(node: PropFormula, depth: int, fanin: int) -> bool:
-    if depth == 0:
-        return _is_literal_block(node, PAnd, fanin)
-    children = node.children if isinstance(node, PAnd) else (node,)
-    return all(_in_disj_class(c, depth - 1, fanin) for c in children)
-
-
-def _in_disj_class(node: PropFormula, depth: int, fanin: int) -> bool:
-    if depth == 0:
-        return _is_literal_block(node, POr, fanin)
-    children = node.children if isinstance(node, POr) else (node,)
-    return all(_in_conj_class(c, depth - 1, fanin) for c in children)
-
+# --- layered normal form for syntax circuits ----------------------------------
 
 def _height(node: PropFormula) -> int:
     if isinstance(node, PLit):
         return 0
     return 1 + max(_height(c) for c in node.children)
 
-
-def _max_width(node: PropFormula) -> int:
-    if isinstance(node, PLit):
-        return 1
-    return max(len(node.children), max(_max_width(c) for c in node.children))
-
-
-def gamma_class(formula: PropFormula) -> GammaShape | None:
-    """Least conjunction-outermost shape (depth >= 1, then least fan-in).
-
-    Depth is minimized first because the weighted-satisfiability problem is
-    posed for depth >= 1; single-child layers pad any formula upward, so a
-    conjunction of literals classifies as depth 1 with fan-in 1.
-    """
-    max_depth = 2 * _height(formula) + 2
-    max_fanin = max(1, _max_width(formula))
-    for depth in range(1, max_depth + 1):
-        for fanin in range(1, max_fanin + 1):
-            if _in_conj_class(formula, depth, fanin):
-                return GammaShape(depth, fanin, polarity(formula))
-    return None
-
-
-# --- layered normal form for syntax circuits ----------------------------------
 
 def _fits_layered(node: PropFormula, level: int, depth: int) -> bool:
     if level == depth:
@@ -202,14 +150,15 @@ _PJOINS = {"&": lambda parts: PAnd(tuple(parts)), "|": lambda parts: POr(tuple(p
 
 def _literal(cursor: Cursor) -> PropFormula:
     tok = cursor.next()
-    if tok[0] == "!":
-        var = cursor.next()
-        if var[0] != "var":
-            raise cursor.fail("'!' must be followed by a variable", var)
-        return PLit(int(var[1][1:]), positive=False)
-    if tok[0] == "var":
-        return PLit(int(tok[1][1:]), positive=True)
-    raise cursor.fail(f"unexpected {tok[1] or 'end of input'!r}", tok)
+    positive = tok[0] != "!"
+    var = tok if positive else cursor.next()
+    if var[0] != "var":
+        message = f"unexpected {tok[1] or 'end of input'!r}" if positive else "'!' must be followed by a variable"
+        raise cursor.fail(message, var)
+    try:
+        return PLit(int(var[1][1:]), positive)
+    except ValueError:  # more digits than ``int`` reads: ``numeral`` raises where
+        return PLit(numeral(var[1][1:], *position(cursor.text, var[2])), positive)
 
 
 def parse_prop(text: str) -> PropFormula:

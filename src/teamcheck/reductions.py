@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ParseError
 from .formulas import (
@@ -37,7 +38,7 @@ from .formulas import (
     Var,
     parse,
 )
-from .model import Structure, Vocabulary, is_numeral, text_lines
+from .model import Structure, Vocabulary, is_numeral, numeral, text_lines
 from .prop import (
     PLit,
     PropFormula,
@@ -97,13 +98,13 @@ def parse_graph(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) != 3 or not all(map(is_numeral, parts[1:])):
                 raise ParseError("expected `p <n> <m>`", lineno, 1)
-            vertex_count, declared_edges = int(parts[1]), int(parts[2])
+            vertex_count, declared_edges = numeral(parts[1], lineno), numeral(parts[2], lineno)
         elif parts[0] == "e":
             if vertex_count is None:
                 raise ParseError("edge before the `p` header", lineno, 1)
             if len(parts) != 3 or not all(map(is_numeral, parts[1:])):
                 raise ParseError("expected `e <u> <v>`", lineno, 1)
-            edges.add((int(parts[1]), int(parts[2])))
+            edges.add((numeral(parts[1], lineno), numeral(parts[2], lineno)))
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno, 1)
     if vertex_count is None:
@@ -304,32 +305,40 @@ def build_syntax_circuit(formula: PropFormula, depth: int | None = None) -> Stru
     )
 
 
-@functools.lru_cache(maxsize=64)
-def theta_formula(depth: int, negative: bool = False) -> WdFormula:
-    """The alternating reachability sentence over a syntax circuit.
+def _levels(depth: int, innermost: Callable[[Var], Formula]) -> Formula:
+    """The alternating walk down a syntax circuit from the root constant ``o``.
 
     Universal levels guard with a negated edge literal, existential levels
     with a positive one; the innermost level asserts membership in ``I``
-    and (non-)membership in the free symbol ``S``.  The negative variant
-    additionally constrains ``S`` to the variable elements — an antitone
-    guard, so the symbol still occurs only negatively; without it,
-    arbitrary elements could pad a small solution to the requested size.
-    Built once per ``(depth, negative)`` and shared, like ``_parsed``'s
-    formulas, so its per-node facts are computed once.
+    and ``innermost`` of its variable.
     """
-    if depth < 1:
-        raise ValueError("the level formula needs depth at least 1")
 
     def level(i: int) -> Formula:
         var = Var(f"x{i}")
         prev = Const("o") if i == 1 else Var(f"x{i - 1}")
-        s_atom = NegRel("S", (var,)) if negative else Rel("S", (var,))
-        body = And(Rel("I", (var,)), s_atom) if i == depth else level(i + 1)
+        body = And(Rel("I", (var,)), innermost(var)) if i == depth else level(i + 1)
         if i % 2 == 1:
             return Forall(f"x{i}", Or(NegRel("E", (prev, var)), body))
         return Exists(f"x{i}", _conjoin(Rel("E", (prev, var)), body))
 
-    spine = level(1)
+    return level(1)
+
+
+@functools.lru_cache(maxsize=64)
+def theta_formula(depth: int, negative: bool = False) -> WdFormula:
+    """The alternating reachability sentence over a syntax circuit.
+
+    The innermost level asserts (non-)membership in the free symbol ``S``.
+    The negative variant additionally constrains ``S`` to the variable
+    elements — an antitone guard, so the symbol still occurs only
+    negatively; without it, arbitrary elements could pad a small solution
+    to the requested size.  Built once per ``(depth, negative)`` and
+    shared, like ``_parsed``'s formulas, so its per-node facts are computed
+    once.
+    """
+    if depth < 1:
+        raise ValueError("the level formula needs depth at least 1")
+    spine = _levels(depth, lambda var: NegRel("S", (var,)) if negative else Rel("S", (var,)))
     if negative:
         guard = Forall("x0", Or(NegRel("S", (Var("x0"),)), Rel("I", (Var("x0"),))))
         return WdFormula(And(guard, spine), "S", 1)
@@ -344,7 +353,7 @@ def _conjoin(left: Formula, right: Formula) -> Formula:
 
 
 def phi_inclusion(depth: int) -> Formula:
-    """The positive level formula with the free symbol replaced by an inclusion atom.
+    """The positive level formula with an inclusion atom in place of the free symbol.
 
     Defined for even depths, where the innermost level is existential: the
     chosen variable elements must occur among the values of the free
@@ -352,22 +361,7 @@ def phi_inclusion(depth: int) -> Formula:
     """
     if depth < 1 or depth % 2 != 0:
         raise ValueError("the inclusion level formula is defined for even depths >= 2")
-    wd = theta_formula(depth, negative=False)
-
-    def replace(node: Formula) -> Formula:
-        if isinstance(node, Rel) and node.name == "S":
-            return Inc(node.terms, (Var("z"),))
-        if isinstance(node, And):
-            return And(replace(node.left), replace(node.right))
-        if isinstance(node, Or):
-            return Or(replace(node.left), replace(node.right))
-        if isinstance(node, Exists):
-            return Exists(node.variable, replace(node.body))
-        if isinstance(node, Forall):
-            return Forall(node.variable, replace(node.body))
-        return node
-
-    return replace(wd.formula)
+    return _levels(depth, lambda var: Inc((var,), (Var("z"),)))
 
 
 def wsat_brute(formula: PropFormula, k: int) -> bool:
@@ -460,48 +454,6 @@ class BooleanCircuit:
                         ready.append(parent)
             ready.sort()
         return order if len(order) == self.gate_count else None
-
-
-def parse_circuit(text: str) -> BooleanCircuit:
-    """Circuit format: ``gate <id> and|or|input``, ``edge <child> <parent>``, ``output <id>``."""
-    kinds: dict[int, str] = {}
-    edges: set[tuple[int, int]] = set()
-    output: int | None = None
-    for lineno, line, parts in text_lines(text):
-        if parts[0] == "gate" and len(parts) == 3 and is_numeral(parts[1]) and parts[2] in ("and", "or", "input"):
-            kinds[int(parts[1])] = parts[2]
-        elif parts[0] == "edge" and len(parts) == 3 and is_numeral(parts[1]) and is_numeral(parts[2]):
-            edges.add((int(parts[1]), int(parts[2])))
-        elif parts[0] == "output" and len(parts) == 2 and is_numeral(parts[1]):
-            output = int(parts[1])
-        else:
-            raise ParseError(f"unrecognized line {line!r}", lineno, 1)
-    if output is None:
-        raise ParseError("missing `output <id>` line")
-    if sorted(kinds) != list(range(len(kinds))):
-        raise ParseError("gate ids must be dense 0..m-1")
-    try:
-        return BooleanCircuit(
-            len(kinds),
-            frozenset(edges),
-            frozenset(g for g, kind in kinds.items() if kind == "input"),
-            frozenset(g for g, kind in kinds.items() if kind == "or"),
-            frozenset(g for g, kind in kinds.items() if kind == "and"),
-            output,
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def render_circuit(circuit: BooleanCircuit) -> str:
-    lines = []
-    for gate in range(circuit.gate_count):
-        kind = "input" if gate in circuit.inputs else "or" if gate in circuit.or_gates else "and"
-        lines.append(f"gate {gate} {kind}")
-    for child, parent in sorted(circuit.edges):
-        lines.append(f"edge {child} {parent}")
-    lines.append(f"output {circuit.output}")
-    return "\n".join(lines) + "\n"
 
 
 def circuit_eval(circuit: BooleanCircuit, inputs_on: frozenset[int] | set[int]) -> bool:

@@ -86,6 +86,17 @@ class TestCheck:
         assert captured.out == ""
         assert "outside the domain" in captured.err
 
+    def test_team_path_that_is_a_directory_is_input_error(self, k3_files, tmp_path, capsys):
+        structure, _ = k3_files
+        code = main([
+            "check", "--structure", str(structure), "--formula", CLIQUE_FORMULA,
+            "--team", str(tmp_path),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "Is a directory" in captured.err
+
     def test_parse_error_reports_position(self, k3_files, capsys):
         structure, team = k3_files
         code = main([
@@ -304,6 +315,13 @@ class TestVerify:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["fail"] == 0
+
+    def test_out_path_that_is_a_directory_is_input_error(self, tmp_path, capsys):
+        code = main(["verify", "circuit", "--seed", "5", "--cases", "2", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "Is a directory" in captured.err
 
     def test_clique_experiment_reports_discrepancies_without_failing(self, tmp_path, capsys):
         report_path = tmp_path / "clique.json"

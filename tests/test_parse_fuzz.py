@@ -5,18 +5,21 @@ digits, and digits that ``str.isdigit`` accepts but ``int`` may not.  The
 draws are derandomised and short, so the suite stays deterministic.
 """
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teamcheck.errors import TeamcheckError
+from teamcheck.errors import ParseError, TeamcheckError
 from teamcheck.formulas import parse
 from teamcheck.model import Vocabulary, parse_structure, parse_team
 from teamcheck.prop import parse_prop
-from teamcheck.reductions import parse_circuit, parse_graph
+from teamcheck.reductions import parse_graph
 
 # Hostile numerals first: hypothesis draws early choices more often.
-NUMERALS = ["²", "①", "٣", "--1", "-1", "0", "1", "10"]
+LONG = "1" * 5000  # more digits than ``int`` reads at its default limit
+NUMERALS = ["²", "①", "٣", "--1", LONG, "-1", "0", "1", "10"]
 
 VOCABULARY = Vocabulary(relations=(("E", 2), ("P", 1)), constants=("c",))
 
@@ -33,7 +36,6 @@ LINES = {
     "structure": ({"domain": 1, "rel": 2, "const": 3, "#": 1}, ["E/", "E", "c", "=", ":", "(0,", ")", ""]),
     "team": ({"vars": 2, "x=0": 1}, ["y=", "x"]),
     "graph": ({"p": 2, "e": 2, "#": 1}, [""]),
-    "circuit": ({"gate": 2, "edge": 2, "output": 1, "#": 1}, ["and", "or", "input", ""]),
 }
 
 
@@ -56,7 +58,6 @@ PARSERS = {
     "team": parse_team,
     "graph": parse_graph,
     "prop": parse_prop,
-    "circuit": parse_circuit,
 }
 
 
@@ -71,6 +72,33 @@ def test_only_teamcheck_errors_escape(fmt):
             pass
 
     run()
+
+
+# Every numeral position, with the line and column of the numeral.
+LONG_NUMERALS = [
+    ("structure", f"domain {LONG}\n", 1, 1),
+    ("structure", f"domain 2\nrel E/{LONG} : (0,1)\n", 2, 1),
+    ("structure", f"domain 2\nrel E/2 : (0,{LONG})\n", 2, 1),
+    ("structure", f"domain 2\nconst c = {LONG}\n", 2, 1),
+    ("team", f"x=0\nx={LONG}\n", 2, 1),
+    ("graph", f"p {LONG} 0\n", 1, 1),
+    ("graph", f"p 2 {LONG}\n", 1, 1),
+    ("graph", f"p 2 1\ne 0 {LONG}\n", 2, 1),
+    ("prop", f"x1 &\n x{LONG}", 2, 2),
+]
+
+
+@pytest.mark.parametrize("fmt, text, line, column", LONG_NUMERALS, ids=range(len(LONG_NUMERALS)))
+def test_long_numerals_are_parse_errors(fmt, text, line, column):
+    try:
+        PARSERS[fmt](text)
+    except TeamcheckError as exc:
+        error = exc
+    else:
+        error = None
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():  # Python before 3.10.7 has no limit
+        assert isinstance(error, ParseError)
+        assert (error.line, error.column) == (line, column)
 
 
 # Deep nesting: the expression parsers keep open groups on a stack of their

@@ -9,7 +9,6 @@ from teamcheck.prop import (
     PAnd,
     PLit,
     POr,
-    gamma_class,
     layered_depth,
     normalize_layered,
     parse_prop,
@@ -61,28 +60,6 @@ class TestParseProp:
     def test_errors_report_the_line_of_the_bad_token(self, text, where):
         with pytest.raises(ParseError, match=f"^{re.escape(where)}"):
             parse_prop(text)
-
-
-class TestGammaClass:
-    def test_conjunction_of_literals(self):
-        shape = gamma_class(parse_prop("x1 & x2"))
-        assert (shape.depth, shape.fanin, shape.polarity) == (1, 1, "positive")
-
-    def test_cnf_two_wide(self):
-        shape = gamma_class(parse_prop("(x1 | x2) & (x3 | x1)"))
-        assert (shape.depth, shape.fanin, shape.polarity) == (1, 2, "positive")
-
-    def test_negative_cnf(self):
-        shape = gamma_class(parse_prop("(!x1 | !x2) & (!x3 | !x1)"))
-        assert (shape.depth, shape.fanin, shape.polarity) == (1, 2, "negative")
-
-    def test_single_literal(self):
-        shape = gamma_class(PLit(1))
-        assert (shape.depth, shape.fanin) == (1, 1)
-
-    def test_mixed_polarity_reported(self):
-        shape = gamma_class(parse_prop("x1 & !x2"))
-        assert shape.polarity == "mixed"
 
 
 class TestLayering:
