@@ -11,6 +11,7 @@ The default seed comes from ``TEAMCHECK_SEED`` when set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -76,7 +77,7 @@ def cmd_check(args) -> int:
     if missing:
         raise TeamcheckError(f"team misses free variables {sorted(missing)}")
     require_in_domain(structure, team)
-    path = solve_path(report)
+    path, _ = solve_path(report)
     satisfied = compile_check(structure, formula, team.variables, path)(team.rows)
     if args.json:
         print(json.dumps({
@@ -97,7 +98,7 @@ def cmd_solve(args) -> int:
     report = classify(formula)
     instance = WtInstance(structure, formula, args.k)
     # a sentence's teams are the empty team and {()}; the label says so
-    path = solve_path(report) if report.free_variables else "sentence"
+    path = solve_path(report)[0] if report.free_variables else "sentence"
     witness = wt_solve(instance)
     if args.json:
         payload = {
@@ -164,36 +165,37 @@ def cmd_reduce(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    if args.suite == "closure":
-        report = run_closure_suite(seed, cases_per_fragment=args.cases, jobs=args.jobs)
-    elif args.suite == "reductions":
-        report = run_reductions_suite(
-            seed,
-            vertex_count=args.vertices,
-            wsat_samples=args.cases,
-            theta_samples=args.cases,
-            jobs=args.jobs,
-        )
-        inclusion = run_inclusion_suite(seed, jobs=args.jobs)
-        report.cases += [
-            type(c)(index=len(report.cases) + i, name=c.name, status=c.status, detail=c.detail)
-            for i, c in enumerate(inclusion.cases)
-        ]
-        report.metadata["inclusion_cases"] = len(inclusion.cases)
-    elif args.suite == "clique-experiment":
-        report = run_clique_experiment(vertex_count=args.vertices, jobs=args.jobs)
-    elif args.suite == "circuit":
-        report = run_circuit_suite(seed, circuits=args.cases, jobs=args.jobs)
-    else:
-        raise TeamcheckError(f"unknown suite {args.suite!r}")
+    # opened before the suite runs, so a report path that cannot be written costs no cases
+    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext() as handle:
+        if args.suite == "closure":
+            report = run_closure_suite(seed, cases_per_fragment=args.cases, jobs=args.jobs)
+        elif args.suite == "reductions":
+            report = run_reductions_suite(
+                seed,
+                vertex_count=args.vertices,
+                wsat_samples=args.cases,
+                theta_samples=args.cases,
+                jobs=args.jobs,
+            )
+            inclusion = run_inclusion_suite(seed, jobs=args.jobs)
+            report.cases += [
+                type(c)(index=len(report.cases) + i, name=c.name, status=c.status, detail=c.detail)
+                for i, c in enumerate(inclusion.cases)
+            ]
+            report.metadata["inclusion_cases"] = len(inclusion.cases)
+        elif args.suite == "clique-experiment":
+            report = run_clique_experiment(vertex_count=args.vertices, jobs=args.jobs)
+        elif args.suite == "circuit":
+            report = run_circuit_suite(seed, circuits=args.cases, jobs=args.jobs)
+        else:
+            raise TeamcheckError(f"unknown suite {args.suite!r}")
 
-    text = report.to_json() if args.json else "\n".join(report.lines())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        text = report.to_json() if args.json else "\n".join(report.lines())
+        if handle is None:
+            print(text)
+        else:
             handle.write(text + "\n")
-        print(report.summary())
-    else:
-        print(text)
+            print(report.summary())
     return 0 if report.ok() else 1
 
 

@@ -355,12 +355,8 @@ def classify(formula: Formula) -> FragmentReport:
 
 # --- rendering ----------------------------------------------------------------
 
-def _render_term(term: Term) -> str:
-    return term.name
-
-
 def _render_terms(terms: Terms) -> str:
-    return ",".join(_render_term(t) for t in terms)
+    return ",".join(t.name for t in terms)
 
 
 def _chain(formula: Formula, cls) -> list[Formula]:
@@ -374,11 +370,45 @@ def _chain(formula: Formula, cls) -> list[Formula]:
 
 
 def render(formula: Formula) -> str:
-    """Canonical concrete syntax; ``parse(render(f))`` rebuilds ``f``."""
+    """Canonical concrete syntax; ``parse(render(f))`` rebuilds ``f``.
+
+    A stack holds the formulas still to render and the text between them,
+    so no nesting depth recurses.
+    """
+    if not isinstance(formula, Formula):
+        raise TypeError(f"not a formula: {formula!r}")
+    out: list[str] = []
+    stack: list[Formula | str] = [formula]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        if isinstance(item, (And, Or)):
+            sep = " & " if isinstance(item, And) else " | "
+            operands = _chain(item, type(item))
+        elif isinstance(item, (Exists, Forall)):
+            while isinstance(item, (Exists, Forall)):
+                kw = "exists" if isinstance(item, Exists) else "forall"
+                out.append(f"{kw} {item.variable} ")
+                item = item.body
+            sep, operands = "", [item]
+        else:
+            out.append(_render_atom(item))
+            continue
+        # pushed last operand first, so they pop left to right
+        for i, operand in enumerate(reversed(operands)):
+            if i:
+                stack.append(sep)
+            stack.extend((")", operand, "(") if isinstance(operand, (And, Or)) else (operand,))
+    return "".join(out)
+
+
+def _render_atom(formula: Formula) -> str:
     if isinstance(formula, Eq):
-        return f"{_render_term(formula.left)}={_render_term(formula.right)}"
+        return f"{formula.left.name}={formula.right.name}"
     if isinstance(formula, Neq):
-        return f"{_render_term(formula.left)}!={_render_term(formula.right)}"
+        return f"{formula.left.name}!={formula.right.name}"
     if isinstance(formula, Rel):
         return f"{formula.name}({_render_terms(formula.terms)})"
     if isinstance(formula, NegRel):
@@ -392,23 +422,7 @@ def render(formula: Formula) -> str:
             f"indep({_render_terms(formula.condition)};"
             f"{_render_terms(formula.left)};{_render_terms(formula.right)})"
         )
-    if isinstance(formula, (And, Or)):
-        sep = " & " if isinstance(formula, And) else " | "
-        return sep.join(_render_operand(part) for part in _chain(formula, type(formula)))
-    if isinstance(formula, (Exists, Forall)):
-        prefix = []
-        while isinstance(formula, (Exists, Forall)):
-            kw = "exists" if isinstance(formula, Exists) else "forall"
-            prefix.append(f"{kw} {formula.variable} ")
-            formula = formula.body
-        return "".join(prefix) + _render_operand(formula)
     raise TypeError(f"not a formula: {formula!r}")
-
-
-def _render_operand(formula: Formula) -> str:
-    if isinstance(formula, (And, Or)):
-        return f"({render(formula)})"
-    return render(formula)
 
 
 # --- parsing ----------------------------------------------------------------

@@ -1,50 +1,38 @@
 """Weighted team search and weighted definability with a free relation symbol.
 
 ``wt_solve`` looks for a team of exactly ``k`` distinct assignments over
-the formula's free variables.  Candidate teams are enumerated in colex
-order over assignment indices (assignments ordered as ``canonical_rows``
-yields them), so witnesses are reproducible.  Three exact refinements keep
-the search tractable without changing verdicts or witnesses:
+the formula's free variables; ``wd_solve`` for a size-``k`` interpretation
+of a free relation symbol that makes a sentence true.  Both run one
+search, ``first_colex``: candidates in colex order (rows as
+``canonical_rows`` yields them, tuples as ``itertools.product`` does), so
+witnesses are reproducible, cut by a closure property of the check.  A cut
+removes only subtrees without solutions, so the witness is the one an
+unpruned search finds.
 
-* rows failing a top-level first-order conjunct are excluded up front —
-  first-order formulas are flat, so every row of a satisfying team must
-  satisfy them (a first-order formula is thus settled by counting rows);
-* on downward-closed fragments (no inclusion/independence atoms), partial
-  teams that already fail can be pruned, since supersets of failing teams
-  fail too;
-* branches that cannot reach ``k`` rows are cut by counting.
+``solve_path`` is the one table from fragment to check and cut.  FO is
+decided by one compiled ``row_test`` per row and FO(dep) by the strict
+evaluator; both are downward closed, so a failing partial team is cut.
+FO(inc) is decided by the polynomial fixpoint and the rest by the generic
+lax evaluator, uncut.  ``compile_check`` builds the chosen check once, as
+a function of a bare row set; the fixpoint accepts a row set ``R`` when its
+maximal satisfying subset is ``R`` itself.  ``wt_solve`` first drops rows
+failing a top-level first-order conjunct (first-order formulas are flat, so
+a first-order formula is settled by counting rows) and compiles the check
+only if ``k`` rows remain; a sentence is searched like any formula, over
+the one row ``()``.  ``check_sentence`` and ``teamcheck check`` run the
+same check.
 
-``solve_path`` is the one table from fragment to check: first-order
-formulas are decided by one compiled ``row_test`` per row, inclusion
-formulas by the polynomial fixpoint, dependence formulas by the strict
-evaluator, everything else by the generic lax evaluator; nothing overrides
-it.  ``compile_check`` builds the chosen check once, as a function of a
-bare row set; the fixpoint accepts a row set ``R`` when its maximal
-satisfying subset is ``R`` itself.  ``wt_solve`` builds it once per search, after the
-counting cut; a sentence is searched like any formula, over the one row
-``()``.  ``check_sentence`` and ``teamcheck check`` run the same check.
-
-``wd_solve`` looks for a size-``k`` interpretation of a free relation
-symbol that makes a sentence true, again in colex order.  The formula is
-compiled once per search; candidates rebind its free symbol.  Pruning is by
-the symbol's polarity (formulas are in negation normal form):
-
-* if the symbol occurs only negatively, or not at all, the formula is
-  antitone in it, so a partial choice that already fails is cut;
-* if it occurs only positively, the formula is monotone, so a partial
-  choice is cut when it fails even with every smaller index added — no
-  completion can exceed that set;
-* mixed polarity gets no pruning.
-
-Both cuts remove only subtrees without solutions, so the witness is the
-same as an unpruned search would find.
+``wd_solve`` compiles the formula once; candidates rebind its free symbol.
+The cut follows the symbol's polarity (formulas are in negation normal
+form): only negative occurrences, or none, make the formula antitone in
+it; only positive ones make it monotone; mixed ones get no cut.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import EvaluationError
 from .evaluator import Rows, _Evaluator, eval_fo_tarski, row_test
@@ -119,17 +107,53 @@ def colex_subsets(
     yield from rec(indices, (), k)
 
 
-_PATHS = {"FO": "fo-counting", "FO(inc)": "inclusion-fixpoint", "FO(dep)": "strict"}
+_PATHS = {
+    "FO": ("fo-counting", "antitone"),
+    "FO(inc)": ("inclusion-fixpoint", None),
+    "FO(dep)": ("strict", "antitone"),
+}
 
 
-def solve_path(report: FragmentReport) -> str:
-    """The check that decides teams of a classified formula, sentences included.
+def solve_path(report: FragmentReport) -> tuple[str, str | None]:
+    """The check that decides teams of a classified formula, and its search's cut.
 
     By fragment: ``fo-counting`` (one row test per row) for FO,
     ``inclusion-fixpoint`` for FO(inc), ``strict`` for FO(dep), ``generic``
-    (the lax evaluator) for the rest.
+    (the lax evaluator) for the rest.  The cut is a ``first_colex`` cut.
     """
-    return _PATHS.get(report.fragment, "generic")
+    return _PATHS.get(report.fragment, ("generic", None))
+
+
+def first_colex(
+    items: Sequence,
+    k: int,
+    holds: Callable[[frozenset], bool],
+    cut: str | None,
+) -> frozenset | None:
+    """The colex-first ``k``-subset of ``items`` that ``holds``, or ``None``.
+
+    ``cut`` names a closure property of ``holds``: ``"antitone"`` cuts a
+    failing partial; ``"monotone"`` cuts a partial that fails even with
+    every earlier item added; ``None`` cuts nothing.
+    """
+
+    def chosen(indices: tuple[int, ...]) -> frozenset:
+        return frozenset(items[i] for i in indices)
+
+    extendable = None
+    if cut == "antitone":
+        def extendable(partial: tuple[int, ...]) -> bool:
+            return holds(chosen(partial))
+    elif cut == "monotone":
+        def extendable(partial: tuple[int, ...]) -> bool:
+            return holds(chosen(partial + tuple(range(partial[-1]))))
+
+    # looked up as a module global, so a wrapper on ``colex_subsets`` sees every search
+    for combo in colex_subsets(len(items), k, extendable):
+        candidate = chosen(combo)
+        if holds(candidate):
+            return candidate
+    return None
 
 
 def compile_check(
@@ -155,7 +179,7 @@ def check_sentence(structure: Structure, formula: Formula) -> bool:
     """Truth of a sentence: whether the one-row team ``{()}`` satisfies it."""
     if formula.free:
         raise EvaluationError("check_sentence expects a sentence without free variables")
-    path = solve_path(classify(formula))
+    path, _ = solve_path(classify(formula))
     return compile_check(structure, formula, (), path)(frozenset({()}))
 
 
@@ -167,33 +191,20 @@ def wt_solve(instance: WtInstance) -> Team | None:
     """
     structure, formula, k = instance.structure, instance.formula, instance.k
     variables = tuple(sorted(formula.free))
-    report = classify(formula)
-    path = solve_path(report)
+    path, cut = solve_path(classify(formula))
     if k == 0:
         return Team.empty(variables)
     rows = canonical_rows(structure.domain_size, variables)
 
-    allowed_indices = list(range(len(rows)))
     part = first_order_part(formula)
     if part is not None:
         allowed = row_test(structure, part, variables)
-        allowed_indices = [i for i in allowed_indices if allowed(rows[i])]
-    if len(allowed_indices) < k:
+        rows = [row for row in rows if allowed(row)]
+    if len(rows) < k:
         return None
     # compiled only now: searches settled by counting rows never pay for it
-    check = compile_check(structure, formula, variables, path)
-
-    extendable = None
-    if not report.atoms & {"inc", "indep"}:
-        # downward closed: a failing partial team has no satisfying superset
-        def extendable(partial: tuple[int, ...]) -> bool:
-            return check(frozenset(rows[allowed_indices[i]] for i in partial))
-
-    for combo in colex_subsets(len(allowed_indices), k, extendable):
-        team_rows = frozenset(rows[allowed_indices[i]] for i in combo)
-        if check(team_rows):
-            return Team(variables, team_rows)
-    return None
+    found = first_colex(rows, k, compile_check(structure, formula, variables, path), cut)
+    return None if found is None else Team(variables, found)
 
 
 def _validate_wd(structure: Structure, wd: WdFormula) -> None:
@@ -220,8 +231,7 @@ def wd_solve(structure: Structure, wd: WdFormula, k: int) -> frozenset[Row] | No
     """First size-k interpretation of the free symbol making the formula true.
 
     The formula is validated and compiled once; candidates come from the
-    domain, so they need no per-tuple checks.  Subtrees that the free symbol's
-    polarity rules out are pruned, which never changes the colex-first witness.
+    domain, so they need no per-tuple checks; the symbol's polarity picks the cut.
     """
     if k < 0:
         raise ValueError("solution size must be nonnegative")
@@ -232,21 +242,10 @@ def wd_solve(structure: Structure, wd: WdFormula, k: int) -> frozenset[Row] | No
     cell = [frozenset()]
     test = row_test(structure, wd.formula, (), (wd.symbol, cell))
 
-    def holds(indices: tuple[int, ...]) -> bool:
-        cell[0] = frozenset(universe[i] for i in indices)
+    def holds(tuples: frozenset[Row]) -> bool:
+        cell[0] = tuples
         return test(())
 
     polarities = set(wd.occurrences())
-    extendable = None
-    if polarities <= {"negative"}:
-        # antitone: a failing partial has no satisfying superset
-        extendable = holds
-    elif polarities == {"positive"}:
-        # monotone: every completion lies inside the partial plus all smaller indices
-        def extendable(partial: tuple[int, ...]) -> bool:
-            return holds(partial + tuple(range(partial[-1])))
-
-    for combo in colex_subsets(len(universe), k, extendable):
-        if holds(combo):
-            return frozenset(universe[i] for i in combo)
-    return None
+    cut = "antitone" if polarities <= {"negative"} else "monotone" if polarities == {"positive"} else None
+    return first_colex(universe, k, holds, cut)

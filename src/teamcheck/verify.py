@@ -1,10 +1,11 @@
-"""Verification suites: closure properties, reduction faithfulness, experiments.
+"""The suites ``teamcheck verify`` runs, each within fixed size limits.
 
-Each suite produces a line-per-case report plus pass/fail/discrepancy
-counts.  Failures mean a checked invariant is violated; discrepancies are
-recorded observations (the clique experiment reports them without failing).
-Suites accept a ``jobs`` argument that fans independent cases out to worker
-processes; results are always ordered by case index.
+Closure properties, the inclusion fixpoint grid, reduction faithfulness,
+the clique experiment and circuit proof trees each produce a line-per-case
+report plus pass/fail/discrepancy counts.  Failures mean a checked invariant
+is violated; discrepancies are recorded observations (the clique experiment
+reports them without failing).  Suites accept ``jobs`` to fan independent
+cases out to worker processes; results are always ordered by case index.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .corpus import (
     random_circuit,
     random_formula,
     random_layered_prop,
-    random_sentence,
     random_structure,
     random_team,
 )
@@ -45,7 +45,7 @@ from .reductions import (
     theta_formula,
     wsat_brute,
 )
-from .solver import WdFormula, WtInstance, check_sentence, compile_check, wd_solve, wt_solve
+from .solver import WdFormula, compile_check, wd_solve, wt_solve
 
 
 @dataclass(frozen=True)
@@ -189,11 +189,10 @@ def _closure_case(task) -> CaseResult:
 def run_closure_suite(
     seed: int,
     cases_per_fragment: int = 500,
-    max_domain: int = 4,
-    max_team_rows: int = 4,
     jobs: int = 1,
 ) -> Report:
     """Empty-team, locality, flatness, downward/union closure, strict-lax agreement."""
+    max_domain = max_team_rows = 4
     rng = SplitMix64(seed)
     tasks = []
     index = 0
@@ -247,15 +246,16 @@ def _inclusion_case(task) -> CaseResult:
     return CaseResult(index, f"{text} n={structure.domain_size} team={len(team)}", status, "; ".join(problems))
 
 
-def run_inclusion_suite(seed: int, max_domain: int = 3, max_team_rows: int = 4, jobs: int = 1) -> Report:
+def run_inclusion_suite(seed: int, jobs: int = 1) -> Report:
     """Fixpoint evaluation versus the exhaustive evaluator and subteam enumeration."""
+    max_team_rows = 4
     rng = SplitMix64(seed)
     tasks = []
     index = 0
     for text, template_max_n in INCLUSION_TEMPLATES:
         formula = parse(text)
         variables = tuple(sorted(free_vars(formula)))
-        for n in range(1, min(max_domain, template_max_n) + 1):
+        for n in range(1, template_max_n + 1):
             for _ in range(2):
                 structure = random_structure(rng, n, min_domain=n)
                 rows = canonical_rows(n, variables)
@@ -284,15 +284,10 @@ def _graph_case(task) -> CaseResult:
 
 
 CLIQUE_WD_TEXT = "forall x forall y (!S(x) | !S(y) | x=y | E(x,y))"
-DOMSET_WD_TEXT = "forall x exists y (S(y) & (E(x,y) | x=y))"
 
 
 def clique_wd_formula() -> WdFormula:
     return WdFormula(parse(CLIQUE_WD_TEXT), "S", 1)
-
-
-def domset_wd_formula() -> WdFormula:
-    return WdFormula(parse(DOMSET_WD_TEXT), "S", 1)
 
 
 def _wd_clique_case(task) -> CaseResult:
@@ -481,61 +476,10 @@ def _circuit_case(task) -> CaseResult:
     return CaseResult(index, f"circuit gates={circuit.gate_count} inputs={sorted(circuit.inputs)}", "pass")
 
 
-def run_circuit_suite(seed: int, circuits: int = 500, max_gates: int = 6, jobs: int = 1) -> Report:
+def run_circuit_suite(seed: int, circuits: int = 500, jobs: int = 1) -> Report:
     """Bottom-up circuit evaluation versus exhaustive proof-tree search."""
+    max_gates = 6
     rng = SplitMix64(seed)
     tasks = [(i, random_circuit(rng, max_gates)) for i in range(circuits)]
     cases = _run_cases(_circuit_case, tasks, jobs)
     return Report("circuit", cases, {"seed": seed, "circuits": circuits, "max_gates": max_gates})
-
-
-# --- sentence and first-order fast-path suites -----------------------------------
-
-def run_sentence_suite(seed: int, per_fragment: int = 100, max_domain: int = 4) -> Report:
-    """Weighted solving of sentences: k=0 holds, k=1 matches truth, k>=2 never.
-
-    Truth is the generic evaluator's verdict on the one-row team.
-    """
-    rng = SplitMix64(seed)
-    cases = []
-    index = 0
-    for fragment in _FRAGMENTS:
-        for _ in range(per_fragment):
-            structure = random_structure(rng, max_domain)
-            sentence = random_sentence(rng, fragment, structure.domain_size)
-            truth = eval_team(structure, Team.singleton_empty_assignment(), sentence)
-            problems = [] if check_sentence(structure, sentence) == truth else ["check_sentence mismatch"]
-            for k, expected in ((0, True), (1, truth), (2, False), (3, False)):
-                if (wt_solve(WtInstance(structure, sentence, k)) is not None) != expected:
-                    problems.append(f"k={k} mismatch")
-            status = "pass" if not problems else "fail"
-            cases.append(CaseResult(index, f"sentence {fragment} n={structure.domain_size}", status, ",".join(problems)))
-            index += 1
-    return Report("sentences", cases, {"seed": seed, "per_fragment": per_fragment})
-
-
-def run_fo_fastpath_suite(seed: int, formulas: int = 200, max_domain: int = 5) -> Report:
-    """``wt_solve`` versus Tarski counting, all 0 <= k <= n^2."""
-    rng = SplitMix64(seed)
-    cases = []
-    for index in range(formulas):
-        structure = random_structure(rng, max_domain)
-        n = structure.domain_size
-        team_hint = min(n ** 2, 8) + 1
-        formula = random_formula(rng, "FO", n, team_hint)
-        variables = tuple(sorted(free_vars(formula)))
-        satisfying = sum(
-            1
-            for row in canonical_rows(n, variables)
-            if eval_fo_tarski(structure, dict(zip(variables, row)), formula)
-        )
-        problems = []
-        for k in range(0, n ** 2 + 1 if variables else 2):
-            counted = satisfying >= k
-            solved = wt_solve(WtInstance(structure, formula, k)) is not None
-            if counted != solved:
-                problems.append(f"k={k} counted={counted} solved={solved}")
-                break
-        status = "pass" if not problems else "fail"
-        cases.append(CaseResult(index, f"fo-fastpath n={n} sat={satisfying}", status, ";".join(problems)))
-    return Report("fo-fastpath", cases, {"seed": seed, "formulas": formulas})

@@ -11,17 +11,21 @@ import json
 
 import pytest
 
-from teamcheck.evaluator import eval_team
-from teamcheck.model import Team
+from teamcheck.corpus import SplitMix64, random_formula, random_sentence, random_structure
+from teamcheck.evaluator import eval_fo_tarski, eval_team
+from teamcheck.formulas import free_vars
+from teamcheck.model import Team, canonical_rows
 from teamcheck.reductions import Graph, encode_clique, graph_brute
+from teamcheck.solver import WtInstance, check_sentence, wt_solve
 from teamcheck.verify import (
+    _FRAGMENTS,
+    CaseResult,
+    Report,
     run_circuit_suite,
     run_clique_experiment,
     run_closure_suite,
-    run_fo_fastpath_suite,
     run_inclusion_suite,
     run_reductions_suite,
-    run_sentence_suite,
 )
 
 SEED = 2024
@@ -44,7 +48,7 @@ def _subset(report, prefix):
 
 
 def test_criterion_1_closure_suite():
-    report = run_closure_suite(SEED, cases_per_fragment=500, max_domain=4, max_team_rows=4)
+    report = run_closure_suite(SEED, cases_per_fragment=500)
     ok = report.ok() and len(report.cases) >= 2000
     _announce("1 closure-properties", ok, report.summary())
     assert len(report.cases) >= 2000
@@ -53,7 +57,7 @@ def test_criterion_1_closure_suite():
 
 
 def test_criterion_2_inclusion_fixpoint_agreement():
-    report = run_inclusion_suite(SEED, max_domain=3, max_team_rows=4)
+    report = run_inclusion_suite(SEED)
     ok = report.ok() and len(report.cases) >= 2000
     _announce("2 inclusion-fixpoint-oracle", ok, report.summary())
     assert len(report.cases) >= 2000
@@ -146,11 +150,63 @@ def test_criterion_7_theta_negative_levels(reductions_report):
 
 
 def test_criterion_8_circuit_proof_trees():
-    report = run_circuit_suite(SEED, circuits=500, max_gates=6)
+    report = run_circuit_suite(SEED, circuits=500)
     ok = report.ok() and len(report.cases) >= 500
     _announce("8 circuit-proof-trees", ok, report.summary())
     assert len(report.cases) >= 500
     assert report.ok(), [c for c in report.cases if c.status != "pass"][:5]
+
+
+# --- sentence and first-order fast-path suites (reached only from criteria 9 and 10) ---
+
+def run_sentence_suite(seed: int, per_fragment: int = 100, max_domain: int = 4) -> Report:
+    """Weighted solving of sentences: k=0 holds, k=1 matches truth, k>=2 never.
+
+    Truth is the generic evaluator's verdict on the one-row team.
+    """
+    rng = SplitMix64(seed)
+    cases = []
+    index = 0
+    for fragment in _FRAGMENTS:
+        for _ in range(per_fragment):
+            structure = random_structure(rng, max_domain)
+            sentence = random_sentence(rng, fragment, structure.domain_size)
+            truth = eval_team(structure, Team.singleton_empty_assignment(), sentence)
+            problems = [] if check_sentence(structure, sentence) == truth else ["check_sentence mismatch"]
+            for k, expected in ((0, True), (1, truth), (2, False), (3, False)):
+                if (wt_solve(WtInstance(structure, sentence, k)) is not None) != expected:
+                    problems.append(f"k={k} mismatch")
+            status = "pass" if not problems else "fail"
+            cases.append(CaseResult(index, f"sentence {fragment} n={structure.domain_size}", status, ",".join(problems)))
+            index += 1
+    return Report("sentences", cases, {"seed": seed, "per_fragment": per_fragment})
+
+
+def run_fo_fastpath_suite(seed: int, formulas: int = 200, max_domain: int = 5) -> Report:
+    """``wt_solve`` versus Tarski counting, all 0 <= k <= n^2."""
+    rng = SplitMix64(seed)
+    cases = []
+    for index in range(formulas):
+        structure = random_structure(rng, max_domain)
+        n = structure.domain_size
+        team_hint = min(n ** 2, 8) + 1
+        formula = random_formula(rng, "FO", n, team_hint)
+        variables = tuple(sorted(free_vars(formula)))
+        satisfying = sum(
+            1
+            for row in canonical_rows(n, variables)
+            if eval_fo_tarski(structure, dict(zip(variables, row)), formula)
+        )
+        problems = []
+        for k in range(0, n ** 2 + 1 if variables else 2):
+            counted = satisfying >= k
+            solved = wt_solve(WtInstance(structure, formula, k)) is not None
+            if counted != solved:
+                problems.append(f"k={k} counted={counted} solved={solved}")
+                break
+        status = "pass" if not problems else "fail"
+        cases.append(CaseResult(index, f"fo-fastpath n={n} sat={satisfying}", status, ";".join(problems)))
+    return Report("fo-fastpath", cases, {"seed": seed, "formulas": formulas})
 
 
 def test_criterion_9_sentence_handling():

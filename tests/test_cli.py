@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from teamcheck import cli
 from teamcheck.cli import build_parser, main
 from teamcheck.evaluator import eval_team
 from teamcheck.formulas import parse
@@ -322,6 +323,13 @@ class TestVerify:
         assert code == 2
         assert captured.out == ""
         assert "Is a directory" in captured.err
+
+    def test_out_path_is_opened_before_the_suite_runs(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "run_circuit_suite", lambda *args, **kwargs: calls.append(args))
+        code = main(["verify", "circuit", "--cases", "3", "--out", str(tmp_path)])
+        assert code == 2
+        assert calls == []
 
     def test_clique_experiment_reports_discrepancies_without_failing(self, tmp_path, capsys):
         report_path = tmp_path / "clique.json"

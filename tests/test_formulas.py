@@ -371,7 +371,7 @@ class TestFacts:
 
 
 class TestDeepFormulas:
-    """Facts are set, texts parsed and chains and prefixes rendered without recursion, so no depth makes them fail."""
+    """Facts are set, texts parsed and rendered without recursion, so no depth makes them fail."""
 
     def test_deep_conjunction(self):
         formula = parse(" & ".join(["x=x"] * 3000))
@@ -397,6 +397,12 @@ class TestDeepFormulas:
 
     def test_deep_quantifier_prefix_parses_and_renders(self):
         text = "exists x " * 3000 + "x=x"
+        assert render(parse(text)) == text
+
+    def test_deep_alternating_parentheses_render(self):
+        # x=x & (x=x | (x=x & (... x=x))), 3000 connectives deep
+        ops = ["&" if i % 2 == 0 else "|" for i in range(3000)]
+        text = "".join(f"x=x {op} (" for op in ops[:-1]) + f"x=x {ops[-1]} x=x" + ")" * 2999
         assert render(parse(text)) == text
 
     def test_deep_parentheses_parse(self):

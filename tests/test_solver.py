@@ -4,24 +4,42 @@ import random
 
 import pytest
 
-from teamcheck.corpus import SplitMix64, random_structure
+from teamcheck.corpus import SplitMix64, all_graphs, random_layered_prop, random_structure
 from teamcheck.errors import EvaluationError
 from teamcheck.evaluator import eval_fo_tarski, eval_team
-from teamcheck.formulas import And, Eq, Exists, Forall, Neq, NegRel, Or, Rel, Var, free_vars, parse
+from teamcheck.formulas import And, Eq, Exists, Forall, Neq, NegRel, Or, Rel, Var, classify, free_vars, parse
 from teamcheck.model import Structure, Team, Vocabulary, canonical_rows
 from teamcheck import solver
-from teamcheck.reductions import Graph, encode_clique, encode_domset, graph_brute
+from teamcheck.prop import parse_prop, prop_variables, render_prop
+from teamcheck.reductions import (
+    Graph,
+    build_syntax_circuit,
+    encode_clique,
+    encode_domset,
+    encode_indset,
+    graph_brute,
+    graph_structure,
+    theta_formula,
+)
 from teamcheck.solver import (
     WdFormula,
     WtInstance,
     colex_subsets,
+    first_colex,
+    solve_path,
     wd_check,
     wd_solve,
     wt_solve,
 )
-from teamcheck.verify import INCLUSION_TEMPLATES, clique_wd_formula, domset_wd_formula
+from teamcheck.verify import INCLUSION_TEMPLATES, clique_wd_formula
 
 GRAPH_VOCAB = Vocabulary(relations=(("E", 2),))
+
+DOMSET_WD_TEXT = "forall x exists y (S(y) & (E(x,y) | x=y))"
+
+
+def domset_wd_formula() -> WdFormula:
+    return WdFormula(parse(DOMSET_WD_TEXT), "S", 1)
 
 
 def structure_with_edges(n, edges):
@@ -32,15 +50,17 @@ def k3():
     return structure_with_edges(3, [(a, b) for a in range(3) for b in range(3) if a != b])
 
 
+def _colex_reference(items, k):
+    """Every k-subset of ``items`` in colex order, built without ``colex_subsets``."""
+    combos = sorted(itertools.combinations(range(len(items)), k), key=lambda c: c[::-1])
+    return [frozenset(items[i] for i in combo) for combo in combos]
+
+
 class TestColexOrder:
     def test_order_matches_reference(self):
-        def reference(n, k):
-            combos = [frozenset(c) for c in itertools.combinations(range(n), k)]
-            return sorted(combos, key=lambda s: tuple(sorted(s, reverse=True)))
-
         for n, k in [(5, 2), (5, 3), (4, 1), (4, 4)]:
             got = [frozenset(c) for c in colex_subsets(n, k)]
-            assert got == reference(n, k)
+            assert got == _colex_reference(range(n), k)
 
     def test_prune_cuts_supersets(self):
         seen = list(colex_subsets(4, 2, extendable=lambda partial: 3 not in partial))
@@ -58,6 +78,82 @@ class TestColexOrder:
             assert len(list(colex_subsets(n, k, extendable))) == math.comb(n, k)
             assert all(len(partial) < k for partial in offered)
             assert bool(offered) == (k >= 2)
+
+
+def _closed_family(rng, items, cut):
+    """A random set predicate that is down-closed, up-closed or arbitrary."""
+    sets = [frozenset(rng.sample(items, rng.randint(0, len(items)))) for _ in range(rng.randint(0, 4))]
+    if cut == "antitone":
+        return lambda chosen: any(chosen <= top for top in sets)
+    if cut == "monotone":
+        return lambda chosen: any(bottom <= chosen for bottom in sets)
+    return lambda chosen: chosen in sets
+
+
+class TestFirstColex:
+    @pytest.mark.parametrize("cut", ["antitone", "monotone", None])
+    def test_matches_unpruned_search(self, cut):
+        rng = random.Random(f"first-colex-{cut}")
+        outcomes = set()
+        for _ in range(300):
+            items = [f"i{j}" for j in range(rng.randint(0, 7))]
+            holds = _closed_family(rng, items, cut)
+            for k in range(len(items) + 2):
+                expected = next(filter(holds, _colex_reference(items, k)), None)
+                assert first_colex(items, k, holds, cut) == expected, (items, k)
+                outcomes.add(expected is None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("text, path", [
+        ("E(x,y) & exists z x=z", ("fo-counting", "antitone")),
+        ("dep(x;y)", ("strict", "antitone")),
+        ("inc(x;y)", ("inclusion-fixpoint", None)),
+        ("indep(;x;y)", ("generic", None)),
+        ("dep(x;y) & inc(x;y)", ("generic", None)),
+    ])
+    def test_solve_path_names_the_cut(self, text, path):
+        assert solve_path(classify(parse(text))) == path
+
+
+def test_search_work_is_pinned(monkeypatch):
+    """Candidates, cut queries and cuts of three search families, as counted at the last change to the search."""
+    counts = [0, 0, 0]
+    original = solver.colex_subsets
+
+    def counted(indices, k, extendable=None):
+        if extendable is not None:
+            inner = extendable
+
+            def extendable(partial):
+                counts[1] += 1
+                ok = inner(partial)
+                counts[2] += not ok
+                return ok
+
+        for combo in original(indices, k, extendable):
+            counts[0] += 1
+            yield combo
+
+    monkeypatch.setattr(solver, "colex_subsets", counted)
+    graphs = list(all_graphs(4))
+    for graph in graphs:
+        for encode in (encode_domset, encode_indset, encode_clique):
+            for k in (1, 2, 3):
+                wt_solve(encode(graph, k))
+    wt_counts, counts[:] = tuple(counts), [0, 0, 0]
+    for graph in graphs:
+        for k in range(4):
+            wd_solve(graph_structure(graph), clique_wd_formula(), k)
+    clique_counts, counts[:] = tuple(counts), [0, 0, 0]
+    # drawn as the theta-wd benchmark pool draws them: 2:2:1 negative depth 1, negative depth 3, positive depth 2
+    rng = SplitMix64(2024)
+    for depth, positive, count in ((1, False, 4), (3, False, 4), (2, True, 2)):
+        for _ in range(count):
+            formula = parse_prop(render_prop(random_layered_prop(rng, depth, positive=positive)))
+            structure = build_syntax_circuit(formula, depth)
+            for k in range(1, len(prop_variables(formula)) + 1):
+                wd_solve(structure, theta_formula(depth, negative=not positive), k)
+    assert (wt_counts, clique_counts, tuple(counts)) == ((1011, 550, 241), (359, 394, 85), (394, 1491, 1332))
 
 
 class TestWtSolve:
@@ -240,9 +336,6 @@ class TestWeightedDefinability:
             wd_solve(k3(), clashing, 3)
 
     def test_matches_graph_oracle_on_small_graphs(self):
-        from teamcheck.corpus import all_graphs
-        from teamcheck.reductions import graph_structure
-
         for graph in all_graphs(4):
             structure = graph_structure(graph)
             for k in range(0, 5):
