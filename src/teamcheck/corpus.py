@@ -218,7 +218,6 @@ def random_sentence(
     rng: random.Random,
     fragment: str,
     domain_size: int,
-    budget: float = DEFAULT_BUDGET,
 ) -> Formula:
     """A budgeted random sentence (all variables quantified)."""
     for _ in range(300):
@@ -230,7 +229,7 @@ def random_sentence(
             formula = Exists(var, formula) if quantifier == "exists" else Forall(var, formula)
         if free_vars(formula):
             continue
-        if search_cost(formula, 1, domain_size) <= budget:
+        if search_cost(formula, 1, domain_size) <= DEFAULT_BUDGET:
             return formula
     return Forall("u", Eq(Var("u"), Var("u")))
 

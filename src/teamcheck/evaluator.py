@@ -43,13 +43,12 @@ The strict reading replaces covers by disjoint splits and value sets by
 single values.  It is equivalent to the lax one on the downward-closed
 fragment (no inclusion or independence atoms), the only fragment for which
 ``solver.solve_path`` picks it; ``solver.compile_check(..., "strict")`` is
-its one entry point.  There it also licenses two shortcuts used heavily by
-the solver: rows satisfying a first-order disjunct can be peeled off
-pointwise, and everything else must then satisfy the remaining
-disjunct.  In both readings an existential picks its values from the
-narrowed extensions only: the strict product and the lax cover search run
-over them, and the cover search draws its supplements one at a time, so it
-builds no list of them however many extended rows there are.
+its one entry point.  Downward closure also shapes its search: rows that
+satisfy a first-order disjunct are peeled off pointwise, and every other
+split, like every choice of values, is one depth-first search (``_choose``)
+cut as soon as a side rejects its rows.  Both readings pick values from the
+narrowed extensions only, and the lax cover search draws its supplements
+one at a time, so it builds no list of them however many there are.
 """
 
 from __future__ import annotations
@@ -263,21 +262,31 @@ def _quantifier(body: Callable[[Row], bool], singletons: tuple[Row, ...], found:
     return quantifier
 
 
-def _subsets(rows: list[Row]) -> list[Rows]:
-    """Every subset of ``rows``; bit i of the index selects ``rows[i]``."""
-    subsets = [_EMPTY]
-    for row in rows:
-        single = frozenset((row,))
-        subsets += [subset | single for subset in subsets]
-    return subsets
-
-
 def _or_streaming(left: Node, right: Node, rows: list[Row]) -> bool:
     for labels in itertools.product((0, 1, 2), repeat=len(rows)):
         left_rows = frozenset(r for r, l in zip(rows, labels) if l != 1)
         right_rows = frozenset(r for r, l in zip(rows, labels) if l != 0)
         if left(left_rows) and right(right_rows):
             return True
+    return False
+
+
+def _choose(sides: tuple[Node, ...], options: list[list[tuple[int, Row]]]) -> bool:
+    """Whether every position can take one of its options with each side accepting its rows.
+
+    An option ``(side, row)`` adds ``row`` to ``sides[side]``.  Positions are
+    decided in order, depth first, from an explicit stack.  A partial choice
+    is cut once a side rejects its rows: sides are downward closed.
+    """
+    stack = [(0, (_EMPTY,) * len(sides))]  # next position, each side's rows so far
+    while stack:
+        position, parts = stack.pop()
+        if position == len(options):
+            return True
+        for side, row in reversed(options[position]):
+            part = parts[side] | {row}
+            if sides[side](part):
+                stack.append((position + 1, parts[:side] + (part,) + parts[side + 1 :]))
     return False
 
 
@@ -415,7 +424,10 @@ class _Evaluator:
                 return False  # unreachable: the full/full cover above decides empty teams
             if count > _SUBSET_LIMIT:
                 return _or_streaming(left, right, ordered)
-            subsets = _subsets(ordered)
+            subsets = [_EMPTY]  # bit i of the index selects ordered[i]
+            for row in ordered:
+                single = frozenset((row,))
+                subsets += [subset | single for subset in subsets]
             full = len(subsets) - 1
             # Right-side satisfiers, then their downward closure: reach[m] says
             # some satisfying right part contains every row of m.
@@ -484,31 +496,19 @@ class _Evaluator:
                 truth = Memo(row_test(self.structure, peeled, variables))
                 rest = self.operand(other, variables)
                 return lambda rows: rest(frozenset(filterfalse(truth.__getitem__, rows)))
-        left, right = self.operand(formula.left, variables), self.operand(formula.right, variables)
-
-        def decide(rows: Rows) -> bool:
-            subsets = _subsets(sorted(rows))
-            full = len(subsets) - 1
-            for mask in range(full + 1):
-                if left(subsets[mask]) and right(subsets[full ^ mask]):
-                    return True
-            return False
-
-        return decide
+        sides = (self.operand(formula.left, variables), self.operand(formula.right, variables))
+        # each row goes to the left or to the right operand
+        return lambda rows: _choose(sides, [[(0, row), (1, row)] for row in sorted(rows)])
 
     def _exists_strict(self, formula: Exists, variables: tuple[str, ...]) -> Node:
         extensions, body = self._extensions(formula, variables)
 
         def decide(rows: Rows) -> bool:
-            if not rows:
-                return body(_EMPTY)
             per_row = _parts(extensions, rows)
             if per_row is None:
                 return False
-            for choice in itertools.product(*per_row):
-                if body(frozenset(choice)):
-                    return True
-            return False
+            # each row gives the body one of its extensions
+            return _choose((body,), [[(0, row) for row in part] for part in per_row])
 
         return decide
 

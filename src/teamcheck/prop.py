@@ -98,29 +98,18 @@ def polarity(formula: PropFormula) -> str:
 
 # --- layered normal form for syntax circuits ----------------------------------
 
-def _height(node: PropFormula) -> int:
-    if isinstance(node, PLit):
-        return 0
-    return 1 + max(_height(c) for c in node.children)
-
-
-def _fits_layered(node: PropFormula, level: int, depth: int) -> bool:
-    if level == depth:
-        return isinstance(node, PLit)
-    if isinstance(node, PLit):
-        return True
-    wanted = PAnd if level % 2 == 0 else POr
-    if isinstance(node, wanted):
-        return all(_fits_layered(c, level + 1, depth) for c in node.children)
-    return _fits_layered(node, level + 1, depth)
-
-
 def layered_depth(formula: PropFormula) -> int:
     """Least depth at which the tree reads as strict and/or layers over single literals."""
-    for depth in range(0, 2 * _height(formula) + 2):
-        if _fits_layered(formula, 0, depth):
-            return depth
-    raise ValueError("formula does not fit any alternating layering")
+
+    def need(node: PropFormula, level: int) -> int:
+        # the least depth that fits ``node`` placed at ``level``
+        if isinstance(node, PLit):
+            return level
+        if isinstance(node, PAnd if level % 2 == 0 else POr):
+            return max(need(child, level + 1) for child in node.children)
+        return need(node, level + 1)  # read the wanted layer as a single-child one
+
+    return need(formula, 0)
 
 
 def normalize_layered(formula: PropFormula, depth: int) -> PropFormula:

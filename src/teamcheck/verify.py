@@ -15,7 +15,7 @@ import json
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .corpus import (
     SplitMix64,
@@ -328,14 +328,13 @@ def _theta_case(task) -> CaseResult:
 def run_reductions_suite(
     seed: int,
     vertex_count: int = 5,
-    k_values: Iterable[int] = (1, 2, 3),
     wsat_samples: int = 200,
     theta_samples: int = 200,
     jobs: int = 1,
 ) -> Report:
     """Exhaustive graph-reduction faithfulness plus sampled level-formula checks."""
     rng = SplitMix64(seed)
-    ks = tuple(k_values)
+    ks = (1, 2, 3)
     graphs = [frozenset(g.edges) for g in all_graphs(vertex_count)]
 
     graph_tasks = []
@@ -415,7 +414,6 @@ def _clique_experiment_case(task) -> CaseResult:
 
 def run_clique_experiment(
     vertex_count: int = 5,
-    k_values: Iterable[int] = (2, 3),
     jobs: int = 1,
 ) -> Report:
     """Full-equivalence experiment for the clique encoding.
@@ -426,6 +424,7 @@ def run_clique_experiment(
     """
     tasks = []
     index = 0
+    k_values = (2, 3)
     for graph in all_graphs(vertex_count):
         for k in k_values:
             tasks.append((index, frozenset(graph.edges), vertex_count, k))

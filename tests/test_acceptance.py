@@ -39,8 +39,7 @@ def _announce(criterion: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def reductions_report():
-    return run_reductions_suite(SEED, vertex_count=5, k_values=(1, 2, 3),
-                                wsat_samples=200, theta_samples=200)
+    return run_reductions_suite(SEED, vertex_count=5, wsat_samples=200, theta_samples=200)
 
 
 def _subset(report, prefix):
@@ -82,7 +81,7 @@ def test_criterion_4_independent_set_reduction(reductions_report):
 
 
 def test_criterion_5_clique_forward_and_experiment(tmp_path, reductions_report):
-    report = run_clique_experiment(vertex_count=5, k_values=(2, 3))
+    report = run_clique_experiment(vertex_count=5)
     forward_ok = report.ok()
     # weighted definability with a free relation S decides clique exactly
     wd_cases = _subset(reductions_report, "wd-clique")

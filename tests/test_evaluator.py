@@ -159,6 +159,79 @@ class TestStrictMode:
                     strict = strict_check(structure, team, formula)
                     assert eval_team(structure, team, formula) == strict, (text, combo)
 
+    @pytest.mark.parametrize(
+        "text, size",
+        [
+            ("dep(;x) | dep(;y)", 16),
+            ("dep(;x) | dep(;y)", 22),
+            ("dep(;x) | dep(;y) | dep(x;y)", 16),
+            ("exists u (dep(;u) & (x=u | y=u))", 25),
+        ],
+    )
+    def test_downward_closure_cuts_the_search(self, monkeypatch, text, size):
+        # Every team here fails (the first 16 rows already take four values
+        # of x and five of y), so without the cut the search would try every
+        # split or every choice of u.
+        calls = []
+        original = _Evaluator._dep
+
+        def counting(evaluator, formula, variables):
+            decide = original(evaluator, formula, variables)
+
+            def counted(rows):
+                calls.append(rows)
+                assert len(calls) <= 200, "the strict search tried more than 200 dep checks"
+                return decide(rows)
+
+            return counted
+
+        monkeypatch.setattr(_Evaluator, "_dep", counting)
+        team = Team(("x", "y"), frozenset(canonical_rows(5, ["x", "y"])[:size]))
+        assert strict_check(graph_structure(5, []), team, parse(text)) is False
+        assert calls
+
+    @pytest.mark.parametrize(
+        "text, max_rows",
+        [
+            ("dep(;x) | dep(;y)", 5),
+            ("dep(x;y) | dep(y;x)", 5),
+            ("(dep(x;y) & U(x)) | dep(y;x)", 5),
+            ("dep(;x) | dep(;y) | dep(x;y)", 5),
+            ("dep(;x) | dep(;y) | (dep(;x) & E(x,y))", 5),
+            ("dep(;x) | (dep(x;y) | (dep(;y) & E(x,y)))", 5),
+            ("(dep(;x) | dep(;y)) & (dep(x;y) | dep(y;x))", 5),
+            ("exists u (dep(;u) & (E(x,u) | E(y,u)))", 5),
+            ("exists u (E(x,u) & (dep(;u) | dep(y;u)))", 5),
+            # the reference splits every duplicated row, up to 3 per row
+            ("forall u (dep(u;x) | dep(;y))", 3),
+            ("forall u (dep(x;u) | dep(;y))", 3),
+            ("forall u (dep(u;x) | (dep(;y) & E(u,y)))", 3),
+        ],
+    )
+    def test_split_and_choice_search_matches_the_definitions(self, monkeypatch, text, max_rows):
+        import teamcheck.evaluator as evaluator_module
+
+        searches = []
+        original = evaluator_module._choose
+
+        def spy(sides, options):
+            searches.append(len(options))
+            return original(sides, options)
+
+        monkeypatch.setattr(evaluator_module, "_choose", spy)
+        formula = parse(text)
+        rng = SplitMix64(sum(map(ord, text)))
+        for case in range(40):
+            structure = random_structure(rng, 3, min_domain=2)
+            # Every other team also binds u, which the quantifiers then overwrite.
+            team = random_team(rng, structure, ["x", "y", "u"] if case % 2 else ["x", "y"], max_rows)
+            rows = [dict(zip(team.variables, row)) for row in sorted(team.rows)]
+            strict = strict_check(structure, team, formula)
+            assert strict == satisfies(structure, rows, formula, strict=True), (case, sorted(team.rows))
+            assert strict == eval_team(structure, team, formula), (case, sorted(team.rows))
+        # the search ran, on teams of several rows, not only the first-order peel-off
+        assert max(searches) >= 4
+
 
 class TestTarski:
     def test_edge_atom(self):

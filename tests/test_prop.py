@@ -82,6 +82,36 @@ class TestLayering:
         with pytest.raises(ValueError):
             normalize_layered(formula, 1)
 
+    @staticmethod
+    def fits_layered(node, level, depth):
+        """The former search's test: does ``node`` at ``level`` fit ``depth`` layers?"""
+        if level == depth:
+            return isinstance(node, PLit)
+        if isinstance(node, PLit):
+            return True
+        wanted = PAnd if level % 2 == 0 else POr
+        if isinstance(node, wanted):
+            return all(TestLayering.fits_layered(c, level + 1, depth) for c in node.children)
+        return TestLayering.fits_layered(node, level + 1, depth)
+
+    @staticmethod
+    def random_tree(rng, depth):
+        """A random tree of ``PAnd``/``POr`` nodes, same-type nesting allowed."""
+        if depth == 0 or rng.random() < 0.3:
+            return PLit(rng.randrange(1, 5), rng.random() < 0.5)
+        children = tuple(TestLayering.random_tree(rng, depth - 1) for _ in range(rng.randrange(1, 4)))
+        return rng.choice((PAnd, POr))(children)
+
+    def test_one_walk_matches_the_least_fitting_depth(self):
+        # The reference tries every depth in turn, as the former search did;
+        # a tree of height h always fits depth 2h.
+        rng = SplitMix64(17)
+        for _ in range(2000):
+            tree = self.random_tree(rng, rng.randrange(7))
+            expected = next(d for d in itertools.count() if self.fits_layered(tree, 0, d))
+            assert layered_depth(tree) == expected, render_prop(tree)
+            normalize_layered(tree, expected)  # raises unless the padding accepts the depth
+
 
 class TestWsatBrute:
     def test_conjunction_weights(self):

@@ -125,18 +125,18 @@ class TestGraphCases:
 
 class TestReductionsSuite:
     def test_case_layout_on_three_vertices(self):
-        report = run_reductions_suite(7, vertex_count=3, k_values=(1, 2), wsat_samples=3, theta_samples=4)
+        report = run_reductions_suite(7, vertex_count=3, wsat_samples=3, theta_samples=4)
         assert report.ok()
         assert [c.index for c in report.cases] == list(range(len(report.cases)))
         kinds = [c.name.split()[0] for c in report.cases]
-        # eight graphs on three vertices; wd-clique runs k = 0..max(k_values)
-        assert kinds[:56] == ["domset"] * 16 + ["indset"] * 16 + ["wd-clique"] * 24
-        assert set(kinds[56:]) <= {"wsat-inc", "theta-negative", "theta-positive"}
+        # eight graphs on three vertices, k = 1..3; wd-clique runs k = 0..3
+        assert kinds[:80] == ["domset"] * 24 + ["indset"] * 24 + ["wd-clique"] * 32
+        assert set(kinds[80:]) <= {"wsat-inc", "theta-negative", "theta-positive"}
         assert not any(name.startswith("clique") for name in kinds)
 
     def test_graph_tasks_draw_no_random_numbers(self):
-        small = run_reductions_suite(7, vertex_count=2, k_values=(1,), wsat_samples=3, theta_samples=4)
-        large = run_reductions_suite(7, vertex_count=3, k_values=(1, 2), wsat_samples=3, theta_samples=4)
+        small = run_reductions_suite(7, vertex_count=2, wsat_samples=3, theta_samples=4)
+        large = run_reductions_suite(7, vertex_count=3, wsat_samples=3, theta_samples=4)
         sampled = lambda report: [c.name for c in report.cases if c.name.startswith(("wsat", "theta"))]
         assert sampled(small) == sampled(large)
         assert sampled(small)
@@ -144,7 +144,7 @@ class TestReductionsSuite:
 
 class TestCliqueExperiment:
     def test_three_vertices(self):
-        report = run_clique_experiment(3, (2, 3))
+        report = run_clique_experiment(3)
         assert len(report.cases) == 16
         assert report.ok()
         assert report.metadata["discrepancies"] == []
