@@ -164,6 +164,9 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value, least in (("--cases", args.cases, 0), ("--vertices", args.vertices, 0), ("--jobs", args.jobs, 1)):
+        if value < least:
+            raise TeamcheckError(f"{flag} must be at least {least}, got {value}")
     seed = args.seed if args.seed is not None else _default_seed()
     # opened before the suite runs, so a report path that cannot be written costs no cases
     with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext() as handle:
@@ -185,10 +188,8 @@ def cmd_verify(args) -> int:
             report.metadata["inclusion_cases"] = len(inclusion.cases)
         elif args.suite == "clique-experiment":
             report = run_clique_experiment(vertex_count=args.vertices, jobs=args.jobs)
-        elif args.suite == "circuit":
-            report = run_circuit_suite(seed, circuits=args.cases, jobs=args.jobs)
         else:
-            raise TeamcheckError(f"unknown suite {args.suite!r}")
+            report = run_circuit_suite(seed, circuits=args.cases, jobs=args.jobs)
 
         text = report.to_json() if args.json else "\n".join(report.lines())
         if handle is None:

@@ -26,7 +26,8 @@ no subtree twice, and settles everything that depends only on the formula:
   since a supplemented team satisfies the body only if every row does; a
   nonempty team with a row that has none fails without a search;
 * a first-order subformula, quantified or not, becomes one row test
-  (``row_test``), applied row by row because first-order formulas are flat;
+  (``row_test``, whose quantifiers read the same extension memos), applied
+  row by row because first-order formulas are flat;
 * unknown relations and constants raise ``EvaluationError``.
 
 A row set can recur only where a disjunction searches its covers or
@@ -38,6 +39,13 @@ number of those entries per evaluator; inserts are refused once it is
 reached.  Row tests and extensions are memoised per row instead, one entry
 per distinct row.  ``term_values`` and ``row_test`` are shared with the
 compile step of the inclusion fixpoint.
+
+The lax disjunction first tries the trivial covers, the team beside the
+empty team, which every formula satisfies; then, at any team size, the
+subset lattice of the sorted rows.  The subsets of the first ``width``
+rows are its first block, and each nonempty subset of the others adds a
+block of its unions with that one, made while it is walked.  ``width`` is
+the largest w with ``2**w <= MAX_CACHE_ENTRIES`` (20 at the default).
 
 The strict reading replaces covers by disjoint splits and value sets by
 single values.  It is equivalent to the lax one on the downward-closed
@@ -82,11 +90,6 @@ from .model import Memo, Row, Structure, Team, extension_memo
 
 # Row-set memo entries one evaluator may hold; verdicts never depend on it.
 MAX_CACHE_ENTRIES = 1 << 20
-
-# Above this many rows the lax disjunction's subset lattice falls back to
-# streaming enumeration, which stays correct but may be very slow on
-# unsatisfiable input.
-_SUBSET_LIMIT = 20
 
 Rows = frozenset[Row]
 Node = Callable[[Rows], bool]
@@ -217,8 +220,9 @@ def row_test(
 ) -> Callable[[Row], bool]:
     """One row's classical truth for a first-order formula; team atoms raise.
 
-    A quantifier appends a column for its variable.  Atoms of ``free[0]`` read
-    the cell ``free[1][0]`` at run time, so a caller rebinds it per candidate.
+    A quantifier takes each row's extensions by its variable from
+    ``extension_memo``.  Atoms of ``free[0]`` read the cell ``free[1][0]`` at
+    run time, so a caller rebinds it per candidate.
     """
     if isinstance(formula, (Eq, Neq)):
         get = term_values(structure, (formula.left, formula.right), variables)
@@ -245,30 +249,29 @@ def row_test(
         return lambda row: left(row) or right(row)
     if not isinstance(formula, (Exists, Forall)):
         raise EvaluationError(f"not a first-order formula: {type(formula).__name__} atom encountered")
-    # The new column hides a column the variable already had, by unnaming it.
-    scope = tuple("" if name == formula.variable else name for name in variables)
-    body = row_test(structure, formula.body, scope + (formula.variable,), free)
-    return _quantifier(body, tuple((a,) for a in structure.elements), isinstance(formula, Exists))
+    extended, extensions = extension_memo(structure.domain_size, variables, formula.variable)
+    body = row_test(structure, formula.body, extended, free)
+    return _quantifier(body, extensions, isinstance(formula, Exists))
 
 
-def _quantifier(body: Callable[[Row], bool], singletons: tuple[Row, ...], found: bool) -> Callable[[Row], bool]:
+def _quantifier(body: Callable[[Row], bool], extensions: Memo, found: bool) -> Callable[[Row], bool]:
     # Kept out of row_test, whose every call would otherwise make these closure cells.
     def quantifier(row: Row) -> bool:
-        for a in singletons:
-            if body(row + a) == found:  # the answer that stops the loop
+        for extended in extensions[row]:
+            if body(extended) == found:  # the answer that stops the loop
                 return found
         return not found
 
     return quantifier
 
 
-def _or_streaming(left: Node, right: Node, rows: list[Row]) -> bool:
-    for labels in itertools.product((0, 1, 2), repeat=len(rows)):
-        left_rows = frozenset(r for r, l in zip(rows, labels) if l != 1)
-        right_rows = frozenset(r for r, l in zip(rows, labels) if l != 0)
-        if left(left_rows) and right(right_rows):
-            return True
-    return False
+def _lattice(rows: list[Row]) -> list[Rows]:
+    """Every subset of ``rows``; bit i of a subset's index selects ``rows[i]``."""
+    subsets = [_EMPTY]
+    for row in rows:
+        single = frozenset((row,))
+        subsets += [subset | single for subset in subsets]
+    return subsets
 
 
 def _choose(sides: tuple[Node, ...], options: list[list[tuple[int, Row]]]) -> bool:
@@ -310,6 +313,8 @@ class _Evaluator:
         # Memo inserts left, in a cell that the nodes share.  No node refers
         # to the evaluator, so refcounting frees it and its memos at once.
         self.room = [MAX_CACHE_ENTRIES]
+        # a lax lattice block lists no more row sets than the memos may hold
+        self.width = max(MAX_CACHE_ENTRIES, 1).bit_length() - 1
         self.memos: list[dict[Rows, bool]] = []  # every operand's memo
         self.nodes: dict[tuple[Formula, tuple[str, ...]], Node] = {}
         self.operands: dict[Node, Node] = {}  # interned node -> its memoised form
@@ -414,31 +419,25 @@ class _Evaluator:
 
     def _or_lax(self, formula: Or, variables: tuple[str, ...]) -> Node:
         left, right = self.operand(formula.left, variables), self.operand(formula.right, variables)
+        width = self.width
 
         def decide(rows: Rows) -> bool:
-            if left(rows) and right(rows):
-                return True
+            if left(rows) or right(rows):
+                return True  # a trivial cover: the empty team satisfies the other side
             ordered = sorted(rows)
-            count = len(ordered)
-            if count == 0:
-                return False  # unreachable: the full/full cover above decides empty teams
-            if count > _SUBSET_LIMIT:
-                return _or_streaming(left, right, ordered)
-            subsets = [_EMPTY]  # bit i of the index selects ordered[i]
-            for row in ordered:
-                single = frozenset((row,))
-                subsets += [subset | single for subset in subsets]
-            full = len(subsets) - 1
+            low = _lattice(ordered[:width])  # bit i of an index selects ordered[i]
+            highs = _lattice(ordered[width:])[1:]  # block 0 is low itself: memos keep no copies
             # Right-side satisfiers, then their downward closure: reach[m] says
             # some satisfying right part contains every row of m.
-            reach = list(map(right, subsets))
-            for bit in range(count):
+            reach = list(map(right, chain(low, *[map(high.union, low) for high in highs])))
+            full = len(reach) - 1
+            for bit in range(len(ordered)):
                 b = 1 << bit
                 for mask in range(full + 1):
                     if not reach[mask] and mask & b == 0 and reach[mask | b]:
                         reach[mask] = True
-            for mask in range(full + 1):
-                if reach[full ^ mask] and left(subsets[mask]):
+            for mask, subset in enumerate(chain(low, *[map(high.union, low) for high in highs])):
+                if reach[full ^ mask] and left(subset):
                     return True
             return False
 
@@ -466,8 +465,6 @@ class _Evaluator:
         extensions, body = self._extensions(formula, variables)
 
         def decide(rows: Rows) -> bool:
-            if not rows:
-                return body(_EMPTY)
             per_row = _parts(extensions, rows)
             if per_row is None:
                 return False

@@ -11,7 +11,7 @@ All values here are immutable after construction and every operation is
 pure, so they are safe to share between concurrent workers.  The one
 mutable type is ``Memo``, a per-row cache.  ``extension_memo`` keeps a
 row's extensions by a variable in one; it is the row-extension primitive
-behind ``duplicate`` and both compiled team evaluators.
+behind ``duplicate``, ``evaluator.row_test`` and both compiled team evaluators.
 A row's extensions depend on the domain size alone, so one memo per
 (domain size, variable order, variable) serves every structure and call;
 a bounded cache keeps the ``EXTENSION_MEMOS`` most recently used of those

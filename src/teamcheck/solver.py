@@ -235,10 +235,10 @@ def wd_solve(structure: Structure, wd: WdFormula, k: int) -> frozenset[Row] | No
     """
     if k < 0:
         raise ValueError("solution size must be nonnegative")
+    _validate_wd(structure, wd)
     universe = list(itertools.product(structure.elements, repeat=wd.arity))
     if k > len(universe):
         return None
-    _validate_wd(structure, wd)
     cell = [frozenset()]
     test = row_test(structure, wd.formula, (), (wd.symbol, cell))
 

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import multiprocessing
@@ -10,6 +11,7 @@ from teamcheck.cli import build_parser, main
 from teamcheck.evaluator import eval_team
 from teamcheck.formulas import parse
 from teamcheck.model import Team, parse_structure, render_team
+from teamcheck.verify import run_reductions_suite
 
 K3_STRUCTURE = "domain 3\nrel E/2 : (0,1) (1,0) (1,2) (2,1) (0,2) (2,0)\n"
 CLIQUE_FORMULA = "E(x,y) & x!=y & inc(y;x) & inc(x;y)"
@@ -40,6 +42,15 @@ class TestCheck:
         assert code == 0
         assert out.splitlines()[0] == "SAT"
         assert "fragment=FO(inc)" in out
+
+    def test_team_from_stdin(self, k3_files, monkeypatch, capsys):
+        structure, _ = k3_files
+        monkeypatch.setattr("sys.stdin", io.StringIO(K3_FULL_TEAM))
+        code = main([
+            "check", "--structure", str(structure), "--formula", CLIQUE_FORMULA, "--team", "-", "--json",
+        ])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["team_size"] == 6
 
     def test_empty_team_is_satisfying(self, k3_files, tmp_path, capsys):
         structure, _ = k3_files
@@ -292,6 +303,14 @@ class TestReduce:
         assert "nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "x.formula").exists()
 
+    @pytest.mark.parametrize("problem, guard", [("domset", "guard=trivial-no"), ("clique", "guard=trivial-yes")])
+    def test_zero_k_is_settled_by_a_guard(self, tmp_path, capsys, problem, guard):
+        graph = tmp_path / "star.graph"
+        graph.write_text(STAR_GRAPH)
+        code = main(["reduce", problem, "--input", str(graph), "-k", "0", "--out", str(tmp_path / "x")])
+        assert code == 0
+        assert guard in capsys.readouterr().out
+
 
 class TestVerify:
     def test_settable_values(self):
@@ -300,6 +319,35 @@ class TestVerify:
         assert sorted(set(vars(args)) - {"command", "func", "suite"}) == [
             "cases", "jobs", "json", "out", "seed", "vertices",
         ]
+
+    @pytest.mark.parametrize("flag, value", [("--cases", "-2"), ("--vertices", "-1"), ("--jobs", "0")])
+    def test_bad_counts_are_exit_two(self, capsys, flag, value):
+        assert main(["verify", "closure", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} must be at least" in captured.err
+
+    def test_seed_from_the_environment(self, monkeypatch, capsys):
+        monkeypatch.setenv("TEAMCHECK_SEED", "5")
+        assert main(["verify", "closure", "--cases", "1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["metadata"]["seed"] == 5
+
+    def test_seed_from_the_environment_must_be_an_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("TEAMCHECK_SEED", "x")
+        assert main(["verify", "closure", "--cases", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "TEAMCHECK_SEED" in captured.err
+
+    def test_reductions_suite_appends_the_inclusion_cases(self, capsys):
+        code = main(["verify", "reductions", "--seed", "3", "--vertices", "2", "--cases", "1", "--json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        reductions = run_reductions_suite(3, vertex_count=2, wsat_samples=1, theta_samples=1)
+        cases = payload["cases"]
+        assert len(cases) == len(reductions.cases) + payload["metadata"]["inclusion_cases"]
+        assert [case["index"] for case in cases] == list(range(len(cases)))
+        assert payload["summary"]["fail"] == 0
 
     def test_closure_suite_small(self, tmp_path, capsys):
         report_path = tmp_path / "closure.txt"

@@ -16,7 +16,7 @@ from teamcheck.corpus import (
     search_cost,
 )
 from teamcheck.errors import EvaluationError
-from teamcheck.evaluator import _SUBSET_LIMIT, _Evaluator, eval_fo_tarski, eval_team, row_test
+from teamcheck.evaluator import _Evaluator, eval_fo_tarski, eval_team, row_test
 from teamcheck.formulas import And, Exists, Forall, Or, free_vars, parse, render, subformulas
 from teamcheck.inclusion import compile_max, eval_inclusion
 from teamcheck.model import Structure, Team, Vocabulary, canonical_rows
@@ -138,6 +138,45 @@ class TestLaxSearch:
         team = Team.make(["x"], [(0,)])
         assert eval_team(structure, team, parse("forall y E(x,y)"))
         assert not eval_team(structure, team, parse("forall y E(y,x)"))
+
+    @pytest.mark.parametrize("bound", [1, 2, 4, 8])
+    def test_lattice_blocks_keep_the_verdicts(self, monkeypatch, bound):
+        # A bound of 2**w memo entries gives lattice blocks of w rows, so
+        # teams of up to six rows span one block or many.
+        import teamcheck.evaluator as evaluator_module
+
+        monkeypatch.setattr(evaluator_module, "MAX_CACHE_ENTRIES", bound)
+        width = bound.bit_length() - 1
+        assert _Evaluator(graph_structure(1, [])).width == width
+        rng = SplitMix64(bound)
+        texts = [
+            "inc(x;y) | inc(y;x)",
+            "(inc(x;y) & x!=y) | (inc(y;x) & E(x,y))",
+            "inc(x,y;y,x) | x=y",
+            "dep(;x) | dep(;y)",
+            "indep(;x;y) | (dep(;x) & U(y))",
+        ]
+        verdicts = Counter()
+        for text in texts:
+            formula = parse(text)
+            for _ in range(12):
+                structure = random_structure(rng, 3, min_domain=2)
+                team = random_team(rng, structure, ["x", "y"], 6)
+                rows = [dict(zip(team.variables, row)) for row in sorted(team.rows)]
+                verdict = eval_team(structure, team, formula)
+                assert verdict == satisfies(structure, rows, formula), (text, sorted(team.rows))
+                if formula.atoms == {"inc"}:
+                    assert verdict == eval_inclusion(structure, team, formula), (text, sorted(team.rows))
+                verdicts[verdict, len(team) > width] += 1
+        assert verdicts[True, True] and verdicts[False, True]
+
+    def test_a_trivial_cover_decides_without_the_lattice(self, monkeypatch):
+        # inc(x;y) holds on the whole team, so the cover (team, empty team)
+        # settles it; the empty team satisfies every formula.
+        calls = TestExistsNarrowing.count_calls(monkeypatch, "_inc")
+        team = Team.make(["x", "y"], [(0, 0), (0, 1)])
+        assert eval_team(graph_structure(2, []), team, parse("inc(x;y) | inc(y;x)")) is True
+        assert calls["_inc"] == 1
 
 
 class TestStrictMode:
@@ -261,10 +300,10 @@ class TestTarski:
 class TestRowTest:
     """``row_test`` against ``eval_fo_tarski`` on every row.
 
-    Rows are aligned with the variable order; a quantifier appends a column,
-    so a quantified variable that the row already binds must hide that
-    column.  The free-symbol cell is read when the test runs, not when it
-    is compiled.
+    Rows are aligned with the variable order; a quantifier extends a row
+    through ``extension_memo``, which overwrites the column of a quantified
+    variable that the row already binds.  The free-symbol cell is read when
+    the test runs, not when it is compiled.
     """
 
     VOCABULARY = Vocabulary(relations=(("E", 2), ("U", 1), ("S", 1)), constants=("c",))
@@ -618,16 +657,14 @@ class TestQuantifiedFirstOrder:
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_quantified_first_order_compiles_to_a_row_test(self, monkeypatch, strict):
-        import teamcheck.evaluator as evaluator_module
-
         extended = []
-        original = evaluator_module.extension_memo
+        original = _Evaluator._extensions
 
-        def recording(structure, variables, variable):
-            extended.append(variable)
-            return original(structure, variables, variable)
+        def recording(evaluator, formula, variables):
+            extended.append(formula.variable)
+            return original(evaluator, formula, variables)
 
-        monkeypatch.setattr(evaluator_module, "extension_memo", recording)
+        monkeypatch.setattr(_Evaluator, "_extensions", recording)
         structure = graph_structure(3, [(0, 1), (1, 2), (2, 0), (1, 1)])
         path = parse("exists u (E(x,u) & E(u,y))")
         evaluator = _Evaluator(structure, strict)
@@ -728,9 +765,9 @@ class TestExistsNarrowing:
         assert 0 < calls["_inc"] <= covers == 9
 
     def test_narrowing_below_the_subset_limit_keeps_the_fixpoint_verdict(self):
-        # 6 rows over 4 elements duplicate to 24 > _SUBSET_LIMIT rows, but
-        # each row passes E(u,y) | u=y for at most two u, so the cover
-        # search stays small.
+        # 6 rows over 4 elements duplicate to 24 rows, more than the 20 of
+        # one default lattice block, but each row passes E(u,y) | u=y for at
+        # most two u, so the cover search stays small.
         formula = parse("exists u (inc(u;x) & (E(u,y) | u=y))")
         structure = graph_structure(4, [(0, 1), (2, 3), (3, 0)])
         rng = SplitMix64(8)
@@ -738,7 +775,7 @@ class TestExistsNarrowing:
         verdicts = Counter()
         for _ in range(30):
             team = Team(("x", "y"), frozenset(rng.sample(rows, 6)))
-            assert len(team) * 4 > _SUBSET_LIMIT
+            assert len(team) * 4 > 20
             verdict = eval_team(structure, team, formula)
             assert verdict == eval_inclusion(structure, team, formula), sorted(team.rows)
             verdicts[verdict] += 1
@@ -754,7 +791,7 @@ class TestExistsNarrowing:
         rows = canonical_rows(4, ["x", "y"])
         for _ in range(5):
             team = Team(("x", "y"), frozenset(rng.sample(rows, size)))
-            assert len(team) * passing > _SUBSET_LIMIT
+            assert len(team) * passing > 20
             assert eval_inclusion(structure, team, formula) is True
             assert eval_team(structure, team, formula) is True, sorted(team.rows)
 
@@ -774,6 +811,10 @@ class TestCacheBound:
                 for size in range(min(3, len(rows)) + 1):
                     for combo in itertools.combinations(rows, size):
                         yield structure, Team(variables, frozenset(combo)), formula
+        # The trivial covers leave at most 4 memo entries on the grid above;
+        # this team needs the lattice.
+        team = Team.make(["x", "y"], [(0, 0), (0, 1), (2, 0), (2, 1)])
+        yield graph_structure(3, []), team, parse("inc(x;y) | inc(y;x)")
 
     def test_bounds_zero_and_one_keep_the_verdicts(self, monkeypatch):
         import teamcheck.evaluator as evaluator_module

@@ -329,11 +329,16 @@ class TestWeightedDefinability:
         with pytest.raises(EvaluationError, match="unknown"):
             wd_solve(k3(), wd, 1)
 
-    def test_oversized_k_returns_none_without_validating(self):
-        clashing = WdFormula(parse("forall x (E(x,x) | Q(x))"), symbol="E")
-        assert wd_solve(k3(), clashing, 4) is None
-        with pytest.raises(EvaluationError, match="clashes"):
-            wd_solve(k3(), clashing, 3)
+    @pytest.mark.parametrize(
+        "text, symbol, message", [("S(x)", "S", "must be sentences"), ("forall x E(x,x)", "E", "clashes")]
+    )
+    def test_oversized_k_validates_before_answering(self, text, symbol, message):
+        # No size-5 interpretation exists over two elements, but a bad
+        # formula is an input error, not an UNSAT answer.
+        wd = WdFormula(parse(text), symbol)
+        for k in (1, 5):
+            with pytest.raises(EvaluationError, match=message):
+                wd_solve(structure_with_edges(2, []), wd, k)
 
     def test_matches_graph_oracle_on_small_graphs(self):
         for graph in all_graphs(4):
