@@ -18,6 +18,9 @@ no subtree twice, and settles everything that depends only on the formula:
 
 * structurally equal subformulas over the same variables share one node;
 * every term is resolved to a column index or a constant (``term_values``);
+  a tuple of variables alone needs no structure, so its getter is built
+  once per variable order and kept in one bounded cache (``TERM_PLANS``)
+  that every evaluator, structure and call shares;
 * each quantifier takes its extended variable order and per-row extensions
   from ``model.extension_memo``, which every structure with the same
   domain size shares while the memo is small;
@@ -64,6 +67,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
+from functools import lru_cache
 from itertools import chain, filterfalse
 from typing import Callable, Mapping
 
@@ -174,6 +178,11 @@ def require_in_domain(structure: Structure, team: Team) -> None:
 # -- compile-step primitives, shared with ``inclusion.compile_max`` ------------
 
 
+# Column getters kept, most recently used first; a bound, not an option.
+TERM_PLANS = 256
+_NAME = operator.attrgetter("name")
+
+
 def term_values(
     structure: Structure,
     terms: tuple[Term, ...],
@@ -184,35 +193,50 @@ def term_values(
     """Row -> the terms' value tuple, every term resolved to a column or a constant once.
 
     With ``bare``, a single term yields its bare value instead of a 1-tuple;
-    such keys compare correctly only with keys of the same width.
+    such keys compare correctly only with keys of the same width.  A tuple
+    of variables alone depends on no structure, so its getter is built once
+    per (names, ``variables``, ``bare``) and kept, up to ``TERM_PLANS`` of
+    them; a tuple that names a constant reads it from ``structure``.
     """
+    if Const not in map(type, terms):
+        # keyed by the names, whose hashes str caches, not by the terms
+        return _columns(tuple(map(_NAME, terms)), variables, bare)
     plan: list[tuple[bool, int]] = []
     for term in terms:
         if isinstance(term, Var):
-            try:
-                plan.append((True, variables.index(term.name)))
-            except ValueError:
-                raise EvaluationError(
-                    f"free variable {term.name!r} is not in the team domain {variables}"
-                ) from None
-        elif isinstance(term, Const):
+            plan.append((True, _column(term.name, variables)))
+        else:
             try:
                 plan.append((False, structure.constants[term.name]))
             except KeyError:
                 raise EvaluationError(f"unknown constant {term.name!r}") from None
-    if plan and all(is_var for is_var, _ in plan) and (bare or len(plan) > 1):
-        return operator.itemgetter(*(i for _, i in plan))
     if bare and len(plan) == 1:
         ((_, value),) = plan  # a constant
         return lambda row: value
-    if len(plan) == 1 and plan[0][0]:
-        ((_, i),) = plan
-        return lambda row: (row[i],)
     if len(plan) == 2 and not plan[0][0] and plan[1][0]:
         ((_, value), (_, i)) = plan
         return lambda row: (value, row[i])
     frozen = tuple(plan)
     return lambda row: tuple(row[i] if is_var else i for is_var, i in frozen)
+
+
+def _column(name: str, variables: tuple[str, ...]) -> int:
+    try:
+        return variables.index(name)
+    except ValueError:
+        raise EvaluationError(f"free variable {name!r} is not in the team domain {variables}") from None
+
+
+@lru_cache(maxsize=TERM_PLANS)
+def _columns(names: tuple[str, ...], variables: tuple[str, ...], bare: bool) -> Callable[[Row], object]:
+    """``term_values`` of the variables ``names``; a missing variable raises and is not kept."""
+    columns = [_column(name, variables) for name in names]
+    if not columns:
+        return lambda row: ()
+    if bare or len(columns) > 1:
+        return operator.itemgetter(*columns)
+    (i,) = columns
+    return lambda row: (row[i],)
 
 
 def row_test(

@@ -31,13 +31,17 @@ parsed once and solved on many structures is analysed once.
 ``classify`` and ``first_order_part`` are computed once per node and kept
 on it.  None of this takes part in
 equality, ``repr`` or ``render``.
+
+``parse`` keeps the ``PARSED_FORMULAS`` most recently parsed texts, each
+with its vocabulary, so a text asked about many times is parsed, and its
+nodes analysed, once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields
-from functools import reduce, wraps
+from functools import lru_cache, reduce, wraps
 
 from .errors import ParseError
 from .model import KEYWORDS, NAME, Vocabulary
@@ -549,9 +553,23 @@ _QUANTIFIERS = {"exists": Exists, "forall": Forall}
 _TEAM_ATOMS = {"dep": (Dep, (";", ")")), "inc": (Inc, (";", ")")), "indep": (Indep, (";", ";", ")"))}
 
 
-def parse(text: str, vocabulary: Vocabulary | None = None) -> Formula:
-    """Parse a formula; with a vocabulary, resolve constants and check arities."""
+# Parsed formulas kept, most recently used first; a bound, not an option.
+PARSED_FORMULAS = 64
 
+
+def parse(text: str, vocabulary: Vocabulary | None = None) -> Formula:
+    """Parse a formula; with a vocabulary, resolve constants and check arities.
+
+    Served from a cache of the ``PARSED_FORMULAS`` most recently parsed
+    ``(text, vocabulary)`` pairs: formulas and vocabularies are immutable, so
+    every caller shares one formula object and the facts kept on its nodes.
+    A text that fails to parse is not kept; it raises again on every call.
+    """
+    return _parse(text, vocabulary)
+
+
+@lru_cache(maxsize=PARSED_FORMULAS)
+def _parse(text: str, vocabulary: Vocabulary | None) -> Formula:
     def term(name: str) -> Term:
         if vocabulary is not None and vocabulary.has_constant(name):
             return Const(name)

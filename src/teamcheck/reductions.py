@@ -155,12 +155,6 @@ INDSET_FORMULA = "forall y (N(x) & (!P(y) | !I(x,y) | dep(y;x)))"
 _GRAPH_VOCAB = Vocabulary(relations=(("E", 2),))
 
 
-@functools.lru_cache(maxsize=None)
-def _parsed(text: str, vocabulary: Vocabulary | None = None) -> Formula:
-    """``parse`` once per constant text and vocabulary; formulas are immutable, so shared."""
-    return parse(text, vocabulary)
-
-
 def graph_structure(graph: Graph) -> Structure:
     pairs = set()
     for u, v in graph.edges:
@@ -170,11 +164,11 @@ def graph_structure(graph: Graph) -> Structure:
 
 
 def _trivial_yes(structure: Structure) -> WtInstance:
-    return WtInstance(structure, _parsed("x=x"), 0)
+    return WtInstance(structure, parse("x=x"), 0)
 
 
 def _trivial_no(structure: Structure) -> WtInstance:
-    return WtInstance(structure, _parsed("x!=x"), 1)
+    return WtInstance(structure, parse("x!=x"), 1)
 
 
 def encode_clique(graph: Graph, k: int) -> WtInstance:
@@ -193,7 +187,7 @@ def encode_clique(graph: Graph, k: int) -> WtInstance:
         return _trivial_no(structure)
     if k == 1:
         return _trivial_yes(structure) if graph.vertex_count >= 1 else _trivial_no(structure)
-    formula = _parsed(CLIQUE_FORMULA, structure.vocabulary)
+    formula = parse(CLIQUE_FORMULA, structure.vocabulary)
     return WtInstance(structure, formula, k * k - k)
 
 
@@ -204,7 +198,7 @@ def encode_domset(graph: Graph, k: int) -> WtInstance:
         return _trivial_yes(structure) if graph.vertex_count == 0 else _trivial_no(structure)
     if k > graph.vertex_count:
         return _trivial_no(structure)
-    formula = _parsed(DOMSET_FORMULA, structure.vocabulary)
+    formula = parse(DOMSET_FORMULA, structure.vocabulary)
     return WtInstance(structure, formula, k)
 
 
@@ -235,7 +229,7 @@ def encode_indset(graph: Graph, k: int) -> WtInstance:
         return _trivial_yes(structure)
     if k > graph.vertex_count:
         return _trivial_no(structure)
-    formula = _parsed(INDSET_FORMULA, structure.vocabulary)
+    formula = parse(INDSET_FORMULA, structure.vocabulary)
     return WtInstance(structure, formula, k)
 
 
@@ -333,8 +327,8 @@ def theta_formula(depth: int, negative: bool = False) -> WdFormula:
     elements — an antitone guard, so the symbol still occurs only
     negatively; without it, arbitrary elements could pad a small solution
     to the requested size.  Built once per ``(depth, negative)`` and
-    shared, like ``_parsed``'s formulas, so its per-node facts are computed
-    once.
+    shared, like the formulas ``parse`` keeps, so its per-node facts are
+    computed once.
     """
     if depth < 1:
         raise ValueError("the level formula needs depth at least 1")

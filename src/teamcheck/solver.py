@@ -92,19 +92,28 @@ def colex_subsets(
     returns false for a partial, every candidate extending it is skipped.
     Only proper partials (fewer than ``k`` picks) are offered to
     ``extendable``: complete choices are yielded, and the caller checks them.
+    The picks so far and each one's remaining range wait on explicit
+    stacks, so ``k`` is not bounded by the recursion limit.
     """
-
-    def rec(limit: int, chosen: tuple[int, ...], need: int) -> Iterator[tuple[int, ...]]:
-        if need == 0:
-            yield chosen
-            return
-        for m in range(need - 1, limit):
-            extended = chosen + (m,)
-            if need > 1 and extendable is not None and not extendable(extended):
-                continue
-            yield from rec(m, extended, need - 1)
-
-    yield from rec(indices, (), k)
+    if k == 0:
+        yield ()
+        return
+    picks: list[int] = []
+    # the next pick ranges below the previous one, leaving room for the picks after it
+    ranges = [iter(range(k - 1, indices))]
+    while ranges:
+        for m in ranges[-1]:
+            partial = (*picks, m)
+            if len(partial) == k:
+                yield partial
+            elif extendable is None or extendable(partial):
+                picks.append(m)
+                ranges.append(iter(range(k - len(partial) - 1, m)))
+                break
+        else:
+            ranges.pop()
+            if picks:
+                picks.pop()
 
 
 _PATHS = {

@@ -16,12 +16,13 @@ from teamcheck.corpus import (
     search_cost,
 )
 from teamcheck.errors import EvaluationError
-from teamcheck.evaluator import _Evaluator, eval_fo_tarski, eval_team, row_test
-from teamcheck.formulas import And, Exists, Forall, Or, free_vars, parse, render, subformulas
+from teamcheck import evaluator
+from teamcheck.evaluator import _Evaluator, eval_fo_tarski, eval_team, row_test, term_values
+from teamcheck.formulas import And, Const, Exists, Forall, Or, Var, free_vars, parse, render, subformulas
 from teamcheck.inclusion import compile_max, eval_inclusion
 from teamcheck.model import Structure, Team, Vocabulary, canonical_rows
 from teamcheck.reductions import Graph, encode_indset
-from teamcheck.solver import check_sentence, compile_check
+from teamcheck.solver import WtInstance, check_sentence, compile_check, wt_solve
 from teamcheck.verify import INCLUSION_TEMPLATES
 
 GRAPH_VOCAB = Vocabulary(relations=(("E", 2),))
@@ -392,6 +393,47 @@ class TestRowTest:
         assert eval_fo_tarski(structure, {"x": 0}, formula)
         with pytest.raises(EvaluationError, match="unknown relation"):
             row_test(structure, formula, ("x",))
+
+
+class TestTermPlans:
+    """A getter of variables alone is built once and kept; constants are read per structure."""
+
+    VOCABULARY = Vocabulary(constants=("c",))
+
+    def structures(self):
+        return [Structure(self.VOCABULARY, 2, constants={"c": c}) for c in (0, 1)]
+
+    @pytest.mark.parametrize("text", ["x=c", "inc(x;c)", "exists y (y=c & inc(x;y))"])
+    def test_one_formula_object_reads_each_structures_constant(self, text):
+        formula = parse(text, self.VOCABULARY)
+        team = Team.make(["x"], [(0,)])
+        for c, structure in enumerate(self.structures()):
+            assert eval_team(structure, team, formula) == (c == 0), (text, c)
+            assert eval_inclusion(structure, team, formula) == (c == 0), (text, c)
+            assert wt_solve(WtInstance(structure, formula, 1)) == Team.make(["x"], [(c,)]), (text, c)
+
+    def test_getters_of_variables_are_shared_and_bounded(self):
+        first, second = self.structures()
+        terms = (Var("y"), Var("x"))
+        getter = term_values(first, terms, ("x", "y"))
+        assert term_values(second, terms, ("x", "y")) is getter
+        assert getter((1, 2)) == (2, 1)
+        assert term_values(first, terms, ("x", "y", "z"), bare=True)((1, 2, 3)) == (2, 1)
+        assert term_values(first, (Const("c"), Var("x")), ("x",))((1,)) == (0, 1)
+        assert term_values(second, (Const("c"), Var("x")), ("x",))((1,)) == (1, 1)
+        for i in range(evaluator.TERM_PLANS + 10):
+            term_values(first, (Var("x"),), tuple(f"v{j}" for j in range(i)) + ("x",))
+        assert evaluator._columns.cache_info().currsize <= evaluator.TERM_PLANS
+
+    def test_a_missing_variable_raises_on_every_call(self):
+        structure = self.structures()[0]
+        formula = parse("x=y")
+        for _ in range(3):
+            with pytest.raises(EvaluationError, match="free variable 'y' is not in the team domain"):
+                term_values(structure, (Var("x"), Var("y")), ("x",))
+            with pytest.raises(EvaluationError, match="free variable 'y' is not in the team domain"):
+                row_test(structure, formula, ("x",))
+        assert row_test(structure, formula, ("x", "y"))((1, 1))
 
 
 class TestCheckSentence:

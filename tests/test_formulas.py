@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teamcheck import formulas
 from teamcheck.errors import ParseError
 from teamcheck.formulas import (
+    PARSED_FORMULAS,
     And,
     Const,
     Dep,
@@ -123,6 +125,36 @@ class TestParse:
     def test_inclusion_arity_mismatch_rejected(self):
         with pytest.raises(ParseError):
             parse("inc(x,y;x)")
+
+
+class TestParseCache:
+    """``parse`` keeps recent ``(text, vocabulary)`` pairs; errors are never kept."""
+
+    def test_same_text_and_vocabulary_give_one_object(self):
+        text = "forall x exists y (inc(y;z) & (E(x,y) | x=y))"
+        assert parse(text, GRAPH_VOCAB) is parse(text, GRAPH_VOCAB)
+        assert parse(text, Vocabulary(relations=(("E", 2),))) is parse(text, GRAPH_VOCAB)  # equal vocabularies
+        assert parse("x=x") is parse("x=x", None)
+
+    def test_the_vocabulary_is_part_of_the_key(self):
+        constants = Vocabulary(constants=("c",))
+        assert parse("x=c") == Eq(Var("x"), Var("c"))
+        assert parse("x=c", constants) == Eq(Var("x"), Const("c"))
+        assert parse("x=c") == Eq(Var("x"), Var("c"))  # not served the other entry
+
+    def test_a_bad_text_raises_at_the_same_place_on_every_call(self):
+        seen = set()
+        for _ in range(3):
+            with pytest.raises(ParseError) as err:
+                parse("x=x &\n  y y")
+            seen.add((err.value.line, err.value.column, str(err.value)))
+        assert seen == {(2, 5, "line 2, column 5: expected '=' or '!=' after a term")}
+
+    def test_the_cache_keeps_at_most_its_bound(self):
+        for i in range(PARSED_FORMULAS + 10):
+            parse(f"x{i}=x{i}")
+        assert formulas._parse.cache_info().currsize <= PARSED_FORMULAS
+        assert parse("x0=x0") == Eq(Var("x0"), Var("x0"))  # evicted, so parsed afresh
 
 
 class TestFreeVars:

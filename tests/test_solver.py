@@ -79,6 +79,13 @@ class TestColexOrder:
             assert all(len(partial) < k for partial in offered)
             assert bool(offered) == (k >= 2)
 
+    def test_more_picks_than_the_recursion_limit(self):
+        # the first candidate: the k smallest indices, largest first, each partial offered once
+        offered = []
+        first = next(colex_subsets(2000, 1500, lambda partial: offered.append(partial) or True))
+        assert first == tuple(range(1499, -1, -1))
+        assert offered == [first[:n] for n in range(1, 1500)]
+
 
 def _closed_family(rng, items, cut):
     """A random set predicate that is down-closed, up-closed or arbitrary."""
@@ -242,6 +249,13 @@ class TestWtSolveFo:
         for k in range(len(satisfying) + 2):
             expected = Team(("x",), frozenset(satisfying[:k])) if k <= len(satisfying) else None
             assert wt_solve(WtInstance(structure, formula, k)) == expected, k
+
+    def test_a_team_of_more_rows_than_the_recursion_limit(self):
+        variables = [f"x{i}" for i in range(11)]
+        formula = parse(" & ".join(f"{v}={v}" for v in variables))
+        rows = canonical_rows(2, variables)  # 2048 rows, all satisfying
+        witness = wt_solve(WtInstance(Structure(Vocabulary(), 2), formula, 1100))
+        assert witness == Team(tuple(sorted(variables)), frozenset(rows[:1100]))
 
     def test_agrees_with_tarski_count(self):
         structure = structure_with_edges(3, [(0, 1), (1, 2)])
