@@ -252,8 +252,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # parse loops, but the evaluators' compile walks and ``==``/``repr``
-        # on formulas still recurse; a formula this deep needs a flatter
+        # parse loops, but planning a formula and ``==``/``repr`` on
+        # formulas still recurse; a formula this deep needs a flatter
         # representation, not a traceback that reads as UNSAT
         print("error: formula nests too deeply for the recursive evaluator", file=sys.stderr)
         return 2

@@ -29,8 +29,8 @@ from its own terms and its children's facts, so reading them is an
 attribute read and walks nothing, however deep the formula; a formula
 parsed once and solved on many structures is analysed once.
 ``classify`` and ``first_order_part`` are computed once per node and kept
-on it.  None of this takes part in
-equality, ``repr`` or ``render``.
+on it, and so is each ``evaluator.plan`` built for the node.  None of this
+takes part in equality, ``repr``, ``render`` or pickling.
 
 ``parse`` keeps the ``PARSED_FORMULAS`` most recently parsed texts, each
 with its vocabulary, so a text asked about many times is parsed, and its

@@ -4,21 +4,22 @@ Satisfying teams of a formula built from first-order literals and inclusion
 atoms are closed under unions, so every team has a unique maximal
 satisfying subteam: the union of all satisfying subteams.
 
-``compile_max`` walks the formula once for a fixed structure and variable
-order and returns a function from a row set to its maximal satisfying
-subset.  Everything that depends only on the formula is settled during
-that walk: the fragment and free-variable checks read the facts the
-formula's nodes carry, and the walk resolves relations and constants and
-the column index of every term, and takes each quantifier's extended
-variable order and per-row extensions from ``model.extension_memo``
-(shared, when small, by every structure with the same domain size).  The compiled nodes
-then work on bare ``frozenset``s of rows, with no ``Team`` objects, and
-remember per row what does not change between calls (literal truth,
-quantifier extensions), so a search that checks many candidate teams
-compiles once and pays for each distinct row once:
+``compile_max`` binds the formula's ``FIXPOINT`` plan to a structure and
+returns a function from a row set to its maximal satisfying subset.  The
+plan is built once per (formula, variable order) and kept on the formula
+node, like every plan in ``evaluator``: it checks the fragment and the free
+variables, settles each node's clause and the column of every term, and
+records each quantifier's extended variable order.  The bind looks up
+relations and constants and takes each quantifier's per-row extensions
+from ``model.extension_memo`` (shared, when small, by every structure with
+the same domain size).  The bound nodes then work on bare ``frozenset``s of
+rows, with no ``Team`` objects, and remember per row what does not change
+between calls (literal truth, quantifier extensions), so a search that
+checks many candidate teams binds once and pays for each distinct row
+once:
 
 * a first-order subformula, quantified or not, keeps the rows that satisfy
-  its one compiled ``row_test``;
+  its one row test;
 * an inclusion atom repeatedly deletes rows whose left value is missing
   from the surviving right values;
 * a disjunction takes the union of its operands' maximal subteams;
@@ -27,7 +28,7 @@ compiles once and pays for each distinct row once:
   maximal subteam of the duplicated rows;
 * a universal repeatedly keeps rows all of whose extensions survive.
 
-``max_subteam`` and ``eval_inclusion`` compile and run once per call;
+``max_subteam`` and ``eval_inclusion`` bind and run once per call;
 ``eval_inclusion`` reports whether the maximal subteam is the whole team.
 Correctness is established in the test suite purely by agreement with the
 exhaustive evaluator and with subteam enumeration.
@@ -40,11 +41,120 @@ from itertools import chain, compress
 from typing import Callable, Iterable
 
 from .errors import EvaluationError
-from .evaluator import Rows, require_in_domain, row_test, term_values
+from .evaluator import (
+    Binding,
+    Reading,
+    Rows,
+    atom_clause,
+    bind,
+    bind_terms,
+    connective_clause,
+    plan,
+    quantifier_clause,
+    require_in_domain,
+)
 from .formulas import And, Exists, Forall, Formula, Inc, Or
 from .model import Memo, Row, Structure, Team, extension_memo
 
 MaxSubteam = Callable[[Rows], Rows]
+
+
+def _check(formula: Formula, variables: tuple[str, ...]) -> None:
+    banned = formula.atoms & {"dep", "indep"}
+    if banned:
+        raise EvaluationError(
+            f"the fixpoint evaluator handles only literals and inclusion atoms, got {sorted(banned)}"
+        )
+    if variables != tuple(sorted(set(variables))):
+        raise ValueError("team variables must be sorted and distinct")
+    missing = formula.free - set(variables)
+    if missing:
+        raise EvaluationError(f"free variables {sorted(missing)} are not in the team domain")
+
+
+def _keep_passing(binding: Binding, test: int) -> MaxSubteam:
+    truth = Memo(binding[test])
+    return lambda rows: frozenset(compress(rows, map(truth.__getitem__, rows)))
+
+
+def _inclusion(binding: Binding, left, right) -> MaxSubteam:
+    # Both sides share one width, so bare values may stand for 1-tuples.
+    get_left = bind_terms(binding.structure, left)
+    get_right = bind_terms(binding.structure, right)
+
+    def run(rows: Rows) -> Rows:
+        while True:
+            right_values = set(map(get_right, rows))
+            if right_values.issuperset(map(get_left, rows)):
+                return rows
+            rows = frozenset(compress(rows, map(right_values.__contains__, map(get_left, rows))))
+
+    return run
+
+
+def _union(binding: Binding, left: int, right: int) -> MaxSubteam:
+    left, right = binding[left], binding[right]
+    return lambda rows: left(rows) | right(rows)
+
+
+def _conjunction(binding: Binding, left: int, right: int) -> MaxSubteam:
+    left, right = binding[left], binding[right]
+
+    def run(rows: Rows) -> Rows:
+        while True:
+            passed = right(left(rows))
+            # passed is a subset of rows, so equal sizes mean a fixpoint
+            if len(passed) == len(rows):
+                return rows
+            rows = passed
+
+    return run
+
+
+def _surviving(extensions: Memo, body: MaxSubteam, rows: Rows) -> tuple[list[tuple[Row, ...]], Rows]:
+    """Each row's extensions, and the body's maximal subteam of all of them."""
+    per_row = list(map(extensions.__getitem__, rows))
+    return per_row, body(frozenset(chain.from_iterable(per_row)))
+
+
+def _exists(binding: Binding, variables: tuple[str, ...], variable: str, body: int) -> MaxSubteam:
+    _, extensions = extension_memo(binding.structure.domain_size, variables, variable)
+    body = binding[body]
+
+    def run(rows: Rows) -> Rows:
+        per_row, kept = _surviving(extensions, body, rows)
+        return frozenset(compress(rows, map(operator.not_, map(kept.isdisjoint, per_row))))
+
+    return run
+
+
+def _forall(binding: Binding, variables: tuple[str, ...], variable: str, body: int) -> MaxSubteam:
+    _, extensions = extension_memo(binding.structure.domain_size, variables, variable)
+    body = binding[body]
+
+    def run(rows: Rows) -> Rows:
+        while True:
+            per_row, kept = _surviving(extensions, body, rows)
+            passed = frozenset(compress(rows, map(kept.issuperset, per_row)))
+            if len(passed) == len(rows):
+                return rows
+            rows = passed
+
+    return run
+
+
+FIXPOINT = Reading(
+    "fixpoint",
+    {
+        Inc: atom_clause(_inclusion, "left", "right"),
+        Or: connective_clause(_union),
+        And: connective_clause(_conjunction),
+        Exists: quantifier_clause(_exists),
+        Forall: quantifier_clause(_forall),
+    },
+    _keep_passing,
+    _check,
+)
 
 
 def compile_max(structure: Structure, variables: Iterable[str], formula: Formula) -> MaxSubteam:
@@ -54,97 +164,7 @@ def compile_max(structure: Structure, variables: Iterable[str], formula: Formula
     aligned with ``variables``) and returns its maximal satisfying subset.
     Values must be elements of the structure; callers check that.
     """
-    banned = formula.atoms & {"dep", "indep"}
-    if banned:
-        raise EvaluationError(
-            f"the fixpoint evaluator handles only literals and inclusion atoms, got {sorted(banned)}"
-        )
-    variables = tuple(variables)
-    if variables != tuple(sorted(set(variables))):
-        raise ValueError("team variables must be sorted and distinct")
-    missing = formula.free - set(variables)
-    if missing:
-        raise EvaluationError(f"free variables {sorted(missing)} are not in the team domain")
-    return _Compiler(structure).node(formula, variables)
-
-
-class _Compiler:
-    def __init__(self, structure: Structure):
-        self.structure = structure
-
-    def node(self, formula: Formula, variables: tuple[str, ...]) -> MaxSubteam:
-        if formula.first_order:
-            return self.first_order(formula, variables)
-        if isinstance(formula, Inc):
-            return self.inclusion(formula, variables)
-        if isinstance(formula, Or):
-            left, right = self.node(formula.left, variables), self.node(formula.right, variables)
-            return lambda rows: left(rows) | right(rows)
-        if isinstance(formula, And):
-            return self.conjunction(formula, variables)
-        if isinstance(formula, (Exists, Forall)):
-            return self.quantifier(formula, variables)
-        raise EvaluationError(f"unexpected node {type(formula).__name__}")
-
-    def first_order(self, formula: Formula, variables: tuple[str, ...]) -> MaxSubteam:
-        truth = Memo(row_test(self.structure, formula, variables))
-
-        def run(rows: Rows) -> Rows:
-            return frozenset(compress(rows, map(truth.__getitem__, rows)))
-
-        return run
-
-    def inclusion(self, formula: Inc, variables: tuple[str, ...]) -> MaxSubteam:
-        # Both sides share one width, so bare values may stand for 1-tuples.
-        get_left = term_values(self.structure, formula.left, variables, bare=True)
-        get_right = term_values(self.structure, formula.right, variables, bare=True)
-
-        def run(rows: Rows) -> Rows:
-            while True:
-                right_values = set(map(get_right, rows))
-                if right_values.issuperset(map(get_left, rows)):
-                    return rows
-                rows = frozenset(compress(rows, map(right_values.__contains__, map(get_left, rows))))
-
-        return run
-
-    def conjunction(self, formula: And, variables: tuple[str, ...]) -> MaxSubteam:
-        left, right = self.node(formula.left, variables), self.node(formula.right, variables)
-
-        def run(rows: Rows) -> Rows:
-            while True:
-                passed = right(left(rows))
-                # passed is a subset of rows, so equal sizes mean a fixpoint
-                if len(passed) == len(rows):
-                    return rows
-                rows = passed
-
-        return run
-
-    def quantifier(self, formula: Exists | Forall, variables: tuple[str, ...]) -> MaxSubteam:
-        extended, extensions = extension_memo(self.structure.domain_size, variables, formula.variable)
-        body = self.node(formula.body, extended)
-
-        def surviving(rows: Rows) -> tuple[list[tuple[Row, ...]], Rows]:
-            per_row = list(map(extensions.__getitem__, rows))
-            return per_row, body(frozenset(chain.from_iterable(per_row)))
-
-        if isinstance(formula, Exists):
-            def run_exists(rows: Rows) -> Rows:
-                per_row, kept = surviving(rows)
-                return frozenset(compress(rows, map(operator.not_, map(kept.isdisjoint, per_row))))
-
-            return run_exists
-
-        def run_forall(rows: Rows) -> Rows:
-            while True:
-                per_row, kept = surviving(rows)
-                passed = frozenset(compress(rows, map(kept.issuperset, per_row)))
-                if len(passed) == len(rows):
-                    return rows
-                rows = passed
-
-        return run_forall
+    return bind(plan(formula, tuple(variables), FIXPOINT), structure).root
 
 
 def max_subteam(structure: Structure, team: Team, formula: Formula) -> Team:
@@ -155,4 +175,5 @@ def max_subteam(structure: Structure, team: Team, formula: Formula) -> Team:
 
 def eval_inclusion(structure: Structure, team: Team, formula: Formula) -> bool:
     """Team satisfaction for inclusion-logic formulas in polynomial time."""
-    return max_subteam(structure, team, formula).rows == team.rows
+    require_in_domain(structure, team)
+    return compile_max(structure, team.variables, formula)(team.rows) == team.rows

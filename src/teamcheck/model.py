@@ -11,7 +11,7 @@ All values here are immutable after construction and every operation is
 pure, so they are safe to share between concurrent workers.  The one
 mutable type is ``Memo``, a per-row cache.  ``extension_memo`` keeps a
 row's extensions by a variable in one; it is the row-extension primitive
-behind ``duplicate``, ``evaluator.row_test`` and both compiled team evaluators.
+behind ``duplicate``, ``evaluator.row_test`` and the bound team evaluators.
 A row's extensions depend on the domain size alone, so one memo per
 (domain size, variable order, variable) serves every structure and call;
 a bounded cache keeps the ``EXTENSION_MEMOS`` most recently used of those
@@ -209,8 +209,13 @@ def extension_memo(domain_size: int, variables: tuple[str, ...], variable: str) 
     return _extension_memo(domain_size, variables, variable)
 
 
+def extended_order(variables: tuple[str, ...], variable: str) -> tuple[str, ...]:
+    """The sorted variable order after extending ``variables`` by ``variable``."""
+    return tuple(sorted(set(variables) | {variable}))
+
+
 def _extension_memo(domain_size: int, variables: tuple[str, ...], variable: str) -> tuple[tuple[str, ...], Memo]:
-    extended = tuple(sorted(set(variables) | {variable}))
+    extended = extended_order(variables, variable)
     at = extended.index(variable)
     after = at + 1 if variable in variables else at
     singletons = tuple((a,) for a in range(domain_size))

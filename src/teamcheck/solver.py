@@ -10,19 +10,20 @@ removes only subtrees without solutions, so the witness is the one an
 unpruned search finds.
 
 ``solve_path`` is the one table from fragment to check and cut.  FO is
-decided by one compiled ``row_test`` per row and FO(dep) by the strict
-evaluator; both are downward closed, so a failing partial team is cut.
-FO(inc) is decided by the polynomial fixpoint and the rest by the generic
-lax evaluator, uncut.  ``compile_check`` builds the chosen check once, as
-a function of a bare row set; the fixpoint accepts a row set ``R`` when its
-maximal satisfying subset is ``R`` itself.  ``wt_solve`` first drops rows
-failing a top-level first-order conjunct (first-order formulas are flat, so
-a first-order formula is settled by counting rows) and compiles the check
-only if ``k`` rows remain; a sentence is searched like any formula, over
-the one row ``()``.  ``check_sentence`` and ``teamcheck check`` run the
-same check.
+decided by one ``row_test`` per row and FO(dep) by the strict evaluator;
+both are downward closed, so a failing partial team is cut.  FO(inc) is
+decided by the polynomial fixpoint and the rest by the generic lax
+evaluator, uncut.  ``compile_check`` binds the chosen check's plan (see
+``evaluator``) once, as a function of a bare row set; the fixpoint accepts
+a row set ``R`` when its maximal satisfying subset is ``R`` itself.
+``wt_solve`` first drops rows failing a top-level first-order conjunct
+(first-order formulas are flat, so a first-order formula is settled by
+counting rows) and binds the check only if ``k`` rows remain; a sentence
+is searched like any formula, over the one row ``()``.  ``check_sentence``
+and ``teamcheck check`` run the same check.
 
-``wd_solve`` compiles the formula once; candidates rebind its free symbol.
+``wd_solve`` binds the formula's row test once; candidates rebind its free
+symbol's cell.
 The cut follows the symbol's polarity (formulas are in negation normal
 form): only negative occurrences, or none, make the formula antitone in
 it; only positive ones make it monotone; mixed ones get no cut.
@@ -173,14 +174,14 @@ def compile_check(
 ) -> Callable[[Rows], bool]:
     """Row set over the sorted ``variables`` -> does it satisfy ``formula``, by ``path``'s check.
 
-    Compiled once.  Callers check that ``variables`` hold the free variables
+    Bound once.  Callers check that ``variables`` hold the free variables
     and that every value is an element of the structure.  ``"strict"``
     agrees with the lax reading only without inclusion or independence atoms.
     """
     if path == "inclusion-fixpoint":
         maximal = compile_max(structure, variables, formula)
         return lambda rows: maximal(rows) == rows
-    # either evaluator compiles a first-order formula to one row test per row
+    # either reading plans a first-order formula as one row test per row
     return _Evaluator(structure, path == "strict").node(formula, variables)
 
 
@@ -211,7 +212,7 @@ def wt_solve(instance: WtInstance) -> Team | None:
         rows = [row for row in rows if allowed(row)]
     if len(rows) < k:
         return None
-    # compiled only now: searches settled by counting rows never pay for it
+    # bound only now: searches settled by counting rows never pay for it
     found = first_colex(rows, k, compile_check(structure, formula, variables, path), cut)
     return None if found is None else Team(variables, found)
 
@@ -239,7 +240,7 @@ def wd_check(structure: Structure, wd: WdFormula, interpretation: Iterable[Row])
 def wd_solve(structure: Structure, wd: WdFormula, k: int) -> frozenset[Row] | None:
     """First size-k interpretation of the free symbol making the formula true.
 
-    The formula is validated and compiled once; candidates come from the
+    The formula is validated and bound once; candidates come from the
     domain, so they need no per-tuple checks; the symbol's polarity picks the cut.
     """
     if k < 0:

@@ -1,3 +1,4 @@
+import copy
 import gc
 import itertools
 import weakref
@@ -16,8 +17,19 @@ from teamcheck.corpus import (
     search_cost,
 )
 from teamcheck.errors import EvaluationError
-from teamcheck import evaluator
-from teamcheck.evaluator import _Evaluator, eval_fo_tarski, eval_team, row_test, term_values
+from teamcheck import evaluator, inclusion
+from teamcheck.evaluator import (
+    LAX,
+    ROW,
+    STRICT,
+    bind,
+    bind_terms,
+    eval_fo_tarski,
+    eval_team,
+    plan,
+    plan_terms,
+    row_test,
+)
 from teamcheck.formulas import And, Const, Exists, Forall, Or, Var, free_vars, parse, render, subformulas
 from teamcheck.inclusion import compile_max, eval_inclusion
 from teamcheck.model import Structure, Team, Vocabulary, canonical_rows
@@ -39,6 +51,31 @@ def k3():
 def strict_check(structure, team, formula):
     """The strict reading, through ``compile_check``, its one entry point."""
     return compile_check(structure, formula, team.variables, "strict")(team.rows)
+
+
+def spy_on_steps(monkeypatch, chosen, spy):
+    """Bind each step that ``chosen(step)`` picks to ``spy(step, node)`` in place of its node.
+
+    Plans are kept on formula nodes, and ``parse`` shares its nodes, so a
+    patched maker would miss every plan built before the patch; this spy
+    sees the steps of every plan as ``bind`` gets it.
+    """
+    original = evaluator.plan
+
+    def spied_step(step):
+        make = step[0]
+        return (lambda *args: spy(step, make(*args)),) + step[1:]
+
+    def spied(formula, variables, reading):
+        return tuple(spied_step(step) if chosen(step) else step for step in original(formula, variables, reading))
+
+    monkeypatch.setattr(evaluator, "plan", spied)
+    monkeypatch.setattr(inclusion, "plan", spied)
+
+
+def spy_on_maker(monkeypatch, make, spy):
+    """``spy_on_steps`` for the steps whose maker is ``make``."""
+    spy_on_steps(monkeypatch, lambda step: step[0] is make, spy)
 
 
 class TestAtoms:
@@ -148,7 +185,7 @@ class TestLaxSearch:
 
         monkeypatch.setattr(evaluator_module, "MAX_CACHE_ENTRIES", bound)
         width = bound.bit_length() - 1
-        assert _Evaluator(graph_structure(1, [])).width == width
+        assert bind(plan(parse("x=x"), ("x",), LAX), graph_structure(1, [])).width == width
         rng = SplitMix64(bound)
         texts = [
             "inc(x;y) | inc(y;x)",
@@ -213,11 +250,8 @@ class TestStrictMode:
         # of x and five of y), so without the cut the search would try every
         # split or every choice of u.
         calls = []
-        original = _Evaluator._dep
 
-        def counting(evaluator, formula, variables):
-            decide = original(evaluator, formula, variables)
-
+        def counting(step, decide):
             def counted(rows):
                 calls.append(rows)
                 assert len(calls) <= 200, "the strict search tried more than 200 dep checks"
@@ -225,7 +259,7 @@ class TestStrictMode:
 
             return counted
 
-        monkeypatch.setattr(_Evaluator, "_dep", counting)
+        spy_on_maker(monkeypatch, evaluator._dep, counting)
         team = Team(("x", "y"), frozenset(canonical_rows(5, ["x", "y"])[:size]))
         assert strict_check(graph_structure(5, []), team, parse(text)) is False
         assert calls
@@ -412,28 +446,128 @@ class TestTermPlans:
             assert eval_inclusion(structure, team, formula) == (c == 0), (text, c)
             assert wt_solve(WtInstance(structure, formula, 1)) == Team.make(["x"], [(c,)]), (text, c)
 
-    def test_getters_of_variables_are_shared_and_bounded(self):
+    def test_getters_of_variables_are_planned_once(self):
         first, second = self.structures()
         terms = (Var("y"), Var("x"))
-        getter = term_values(first, terms, ("x", "y"))
-        assert term_values(second, terms, ("x", "y")) is getter
+        getter = plan_terms(terms, ("x", "y"))
+        assert bind_terms(first, getter) is getter is bind_terms(second, getter)
         assert getter((1, 2)) == (2, 1)
-        assert term_values(first, terms, ("x", "y", "z"), bare=True)((1, 2, 3)) == (2, 1)
-        assert term_values(first, (Const("c"), Var("x")), ("x",))((1,)) == (0, 1)
-        assert term_values(second, (Const("c"), Var("x")), ("x",))((1,)) == (1, 1)
-        for i in range(evaluator.TERM_PLANS + 10):
-            term_values(first, (Var("x"),), tuple(f"v{j}" for j in range(i)) + ("x",))
-        assert evaluator._columns.cache_info().currsize <= evaluator.TERM_PLANS
+        assert plan_terms(terms, ("x", "y", "z"), bare=True)((1, 2, 3)) == (2, 1)
+        planned = plan_terms((Const("c"), Var("x")), ("x",))
+        assert bind_terms(first, planned)((1,)) == (0, 1)
+        assert bind_terms(second, planned)((1,)) == (1, 1)
 
     def test_a_missing_variable_raises_on_every_call(self):
         structure = self.structures()[0]
         formula = parse("x=y")
         for _ in range(3):
             with pytest.raises(EvaluationError, match="free variable 'y' is not in the team domain"):
-                term_values(structure, (Var("x"), Var("y")), ("x",))
+                plan_terms((Var("x"), Var("y")), ("x",))
             with pytest.raises(EvaluationError, match="free variable 'y' is not in the team domain"):
                 row_test(structure, formula, ("x",))
         assert row_test(structure, formula, ("x", "y"))((1, 1))
+
+
+class TestPlans:
+    """One plan per (formula, variable order, reading), bound afresh to each structure."""
+
+    @staticmethod
+    def fresh(text):
+        # rebuilt by the constructors, so no earlier call has planned it
+        return copy.deepcopy(parse(text))
+
+    def test_one_plan_per_reading_across_structures(self, monkeypatch):
+        built = Counter()
+        original = evaluator.build_plan
+
+        def counting(formula, variables, reading):
+            built[formula, variables, reading.name] += 1
+            return original(formula, variables, reading)
+
+        monkeypatch.setattr(evaluator, "build_plan", counting)
+        inclusion_formula = self.fresh("exists u (inc(u;x) & (E(u,y) | u=y))")
+        dependence = self.fresh("dep(x;y) | exists u (E(x,u) & dep(u;y))")
+        first_order = self.fresh("forall u (E(x,u) | !U(y))")
+        rng = SplitMix64(50)
+        for _ in range(50):
+            structure = random_structure(rng, 3, min_domain=2)
+            team = random_team(rng, structure, ["x", "y"], 4)
+            eval_team(structure, team, inclusion_formula)
+            eval_inclusion(structure, team, inclusion_formula)
+            wt_solve(WtInstance(structure, inclusion_formula, 2))
+            eval_team(structure, team, dependence)
+            strict_check(structure, team, dependence)
+            row_test(structure, first_order, team.variables)
+        xy = ("x", "y")
+        assert built == {
+            (inclusion_formula, xy, "lax"): 1,
+            (inclusion_formula, xy, "fixpoint"): 1,
+            (dependence, xy, "lax"): 1,
+            (dependence, xy, "strict"): 1,
+            (first_order, xy, "row"): 1,
+        }
+
+    def test_a_plan_keeps_no_structure_alive(self):
+        inclusion_formula = parse("exists u (inc(u;x) & (E(u,y) | u=y))")
+        dependence = parse("dep(x;y) | exists u (E(x,u) & dep(u;y))")
+        checks = [
+            (eval_team, inclusion_formula),
+            (eval_inclusion, inclusion_formula),
+            (eval_team, dependence),
+            (strict_check, dependence),
+            (lambda structure, team, formula: wt_solve(WtInstance(structure, formula, 2)), inclusion_formula),
+            (lambda structure, team, formula: row_test(structure, formula, team.variables), parse("E(x,y)")),
+        ]
+        rng = SplitMix64(9)
+        gc.disable()
+        try:
+            for check, formula in checks:
+                structure = random_structure(rng, 3, min_domain=2)
+                check(structure, random_team(rng, structure, ["x", "y"], 4), formula)
+                alive = weakref.ref(structure)
+                del structure
+                assert alive() is None, check
+        finally:
+            gc.enable()
+
+    def test_one_formula_gives_each_structure_its_own_verdict(self):
+        structures = graph_structure(2, [(0, 1), (1, 0)]), graph_structure(2, [(0, 0), (1, 0)])
+        team = Team.make(["x", "y"], [(0, 1), (1, 0)])
+        rows = [dict(zip(team.variables, row)) for row in sorted(team.rows)]
+        verdicts = {
+            "E(x,y)": (True, False),
+            "exists u (E(x,u) & inc(y;u))": (True, False),
+            "exists u (E(x,u) & dep(;u))": (False, True),
+        }
+        for text, expected in verdicts.items():
+            formula = parse(text)
+            for structure, verdict in zip(structures, expected):
+                assert satisfies(structure, rows, formula) is verdict, text
+                assert eval_team(structure, team, formula) is verdict, text
+                if formula.atoms <= {"inc"}:
+                    assert eval_inclusion(structure, team, formula) is verdict, text
+                if formula.atoms <= {"dep"}:
+                    assert strict_check(structure, team, formula) is verdict, text
+                if formula.first_order:
+                    assert all(map(row_test(structure, formula, team.variables), team.rows)) is verdict, text
+
+    def test_an_unknown_relation_raises_after_another_structure_built_the_plan(self):
+        with_f = Structure(Vocabulary(relations=(("E", 2), ("F", 1))), 2, {"F": frozenset({(0,), (1,)})})
+        without_f = graph_structure(2, [])
+        team = Team.make(["x"], [(0,), (1,)])
+        checks = [
+            (eval_team, "exists u (F(u) & inc(u;x)) | E(x,x)"),
+            (eval_inclusion, "exists u (F(u) & inc(u;x)) | E(x,x)"),
+            (strict_check, "exists u (F(u) & dep(;u)) | E(x,x)"),
+            (lambda structure, team, formula: all(map(row_test(structure, formula, ("x",)), team.rows)), "forall u (F(u) | E(x,u))"),
+        ]
+        for check, text in checks:
+            formula = parse(text)
+            assert check(with_f, team, formula) is True, text
+            # the empty team too: the bind raises before any row is tested
+            for rows in (team, Team.empty(["x"])):
+                with pytest.raises(EvaluationError, match="unknown relation 'F'"):
+                    check(without_f, rows, formula)
 
 
 class TestCheckSentence:
@@ -700,25 +834,26 @@ class TestQuantifiedFirstOrder:
     @pytest.mark.parametrize("strict", [False, True])
     def test_quantified_first_order_compiles_to_a_row_test(self, monkeypatch, strict):
         extended = []
-        original = _Evaluator._extensions
+        original = evaluator._extensions
 
-        def recording(evaluator, formula, variables):
-            extended.append(formula.variable)
-            return original(evaluator, formula, variables)
+        def recording(binding, variables, variable, passes):
+            extended.append(variable)
+            return original(binding, variables, variable, passes)
 
-        monkeypatch.setattr(_Evaluator, "_extensions", recording)
+        monkeypatch.setattr(evaluator, "_extensions", recording)
         structure = graph_structure(3, [(0, 1), (1, 2), (2, 0), (1, 1)])
         path = parse("exists u (E(x,u) & E(u,y))")
-        evaluator = _Evaluator(structure, strict)
-        node = evaluator.node(Or(parse("dep(;x)"), path), ("x", "y"))
-        # no quantifier extension is compiled, and the team atom beside the
+        reading = STRICT if strict else LAX
+        binding = bind(plan(Or(parse("dep(;x)"), path), ("x", "y"), reading), structure)
+        node = binding.root
+        # no quantifier extension is bound, and the team atom beside the
         # path is the only node with a row-set memo
-        assert extended == [] and len(evaluator.memos) == 1
+        assert extended == [] and len(binding.memos) == 1
         rows = canonical_rows(3, ["x", "y"])
         paths = [row for row in rows if eval_fo_tarski(structure, dict(zip(("x", "y"), row)), path)]
         assert 0 < len(paths) < len(rows)
-        assert evaluator.node(path, ("x", "y"))(frozenset(rows)) is False
-        assert evaluator.node(path, ("x", "y"))(frozenset(paths)) is True
+        assert bind(plan(path, ("x", "y"), reading), structure).root(frozenset(rows)) is False
+        assert bind(plan(path, ("x", "y"), reading), structure).root(frozenset(paths)) is True
         assert node(frozenset(rows)) == (len({x for x, _ in set(rows) - set(paths)}) <= 1)
 
     def test_inclusion_fixpoint_compiles_quantified_first_order_to_a_row_test(self, monkeypatch):
@@ -744,34 +879,29 @@ class TestExistsNarrowing:
 
     @staticmethod
     def count_calls(monkeypatch, method):
-        """Count calls of every node that ``_Evaluator.<method>`` compiles, and of every row test."""
-        import teamcheck.evaluator as evaluator_module
+        """Count calls of every node that the maker ``evaluator.<method>`` binds, and of every row test.
 
+        A row test counts under its formula; a subformula's row test counts
+        too when its parent's calls it.
+        """
         calls = Counter()
-        original = getattr(_Evaluator, method)
+        make = getattr(evaluator, method)
 
-        def compile_counted(evaluator, formula, variables):
-            decide = original(evaluator, formula, variables)
+        def chosen(step):
+            reading, _, _ = step[2]
+            return step[0] is make or reading == ROW.name
+
+        def counting(step, decide):
+            reading, formula, _ = step[2]
+            name = formula if reading == ROW.name else method
 
             def counted(rows):
-                calls[method] += 1
+                calls[name] += 1
                 return decide(rows)
 
             return counted
 
-        original_row_test = evaluator_module.row_test
-
-        def row_test_counted(structure, formula, variables, free=None):
-            test = original_row_test(structure, formula, variables, free)
-
-            def counted(row):
-                calls[formula] += 1
-                return test(row)
-
-            return counted
-
-        monkeypatch.setattr(_Evaluator, method, compile_counted)
-        monkeypatch.setattr(evaluator_module, "row_test", row_test_counted)
+        spy_on_steps(monkeypatch, chosen, counting)
         return calls
 
     @pytest.mark.parametrize(
@@ -875,9 +1005,9 @@ class TestCacheBound:
         for structure, team, formula in self.grid():
             for bound in (0, 1, 7, default):
                 monkeypatch.setattr(evaluator_module, "MAX_CACHE_ENTRIES", bound)
-                evaluator = _Evaluator(structure)
-                evaluator.check(team, formula)
-                entries = sum(map(len, evaluator.memos))
+                binding = bind(plan(formula, team.variables, LAX), structure)
+                binding.root(team.rows)
+                entries = sum(map(len, binding.memos))
                 assert entries <= bound
             unbounded = max(unbounded, entries)
         assert unbounded > 7  # the small bounds did refuse inserts
@@ -887,18 +1017,15 @@ class TestCacheBound:
         # dep(;x) is an operand of both disjunctions; one memo serves both
         # parents, so its decide runs at most once per subset of the team.
         calls = []
-        original = _Evaluator._dep
 
-        def counting(evaluator, formula, variables):
-            decide = original(evaluator, formula, variables)
-
+        def counting(step, decide):
             def counted(rows):
                 calls.append(rows)
                 return decide(rows)
 
             return counted
 
-        monkeypatch.setattr(_Evaluator, "_dep", counting)
+        spy_on_maker(monkeypatch, evaluator._dep, counting)
         n = 8
         team = Team.make(["x"], [(a,) for a in range(n)])
         decide = strict_check if strict else eval_team
@@ -906,19 +1033,22 @@ class TestCacheBound:
         assert 0 < len(calls) <= 2 ** n
 
     @pytest.mark.parametrize("strict", [False, True])
-    def test_evaluator_is_freed_without_the_cycle_collector(self, strict):
-        # No node refers back to its evaluator, so the memos go as soon as
-        # the evaluator does, not whenever the cycle collector next runs.
+    def test_binding_is_freed_without_the_cycle_collector(self, strict):
+        # No node refers back to its binding, so the memos go as soon as
+        # the binding and its root do, not whenever the cycle collector
+        # next runs: a node in a cycle with the binding would keep the
+        # binding, and with it the root, alive.
         structure = graph_structure(2, [(0, 1), (1, 1)])
         team = Team.make(["x", "y"], [(0, 0), (0, 1), (1, 0)])
         formula = parse("forall v exists u (dep(;u) | (dep(x;y) & E(u,v)))")
         gc.disable()
         try:
-            evaluator = _Evaluator(structure, strict)
-            evaluator.check(team, formula)
-            assert sum(map(len, evaluator.memos)) > 0
-            alive = weakref.ref(evaluator)
-            del evaluator
+            binding = bind(plan(formula, team.variables, STRICT if strict else LAX), structure)
+            root = binding.root
+            root(team.rows)
+            assert sum(map(len, binding.memos)) > 0
+            alive = weakref.ref(root)
+            del binding, root
             assert alive() is None
         finally:
             gc.enable()
