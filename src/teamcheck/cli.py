@@ -3,7 +3,7 @@
 Subcommands: ``check`` (team satisfaction), ``solve`` (weighted team
 search), ``reduce`` (instance encoders), ``verify`` (invariant suites).
 Exit codes are stable across commands: 0 = SAT / pass, 1 = UNSAT / fail,
-2 = input error.
+2 = input error, 3 = UNKNOWN (the run ran out of memory before an answer).
 
 The default seed comes from ``TEAMCHECK_SEED`` when set.
 """
@@ -201,7 +201,8 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="teamcheck", description=__doc__)
+    epilog = "exit codes: 0 SAT/pass, 1 UNSAT/fail, 2 input error, 3 UNKNOWN (out of memory)"
+    parser = argparse.ArgumentParser(prog="teamcheck", description=__doc__, epilog=epilog)
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="evaluate a formula on a team")
@@ -257,6 +258,9 @@ def main(argv=None) -> int:
         # representation, not a traceback that reads as UNSAT
         print("error: formula nests too deeply for the recursive evaluator", file=sys.stderr)
         return 2
+    except MemoryError:  # no answer, which must not read as UNSAT
+        print("error: out of memory; the answer is UNKNOWN", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

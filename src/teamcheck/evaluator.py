@@ -36,15 +36,21 @@ takes each quantifier's per-row extensions from ``model.extension_memo``,
 which every structure with the same domain size shares while the memo is
 small; and it makes fresh per-row memos and row-set memos.  A bound node
 is a function of a bare ``frozenset`` of rows (value tuples aligned with
-the variable order); no ``Team`` is built during the search.  No memo
-outlives its bind.
+the variable order); no ``Team`` is built during the search.
+
+``bound`` keeps one binding per plan and structure beside the plan, keyed
+weakly by the structure, so it lives as long as both and keeps neither
+alive.  Its per-row memos stay with it.  Row-set memos never outlive the
+call that filled them: ``bound`` empties them at every hand-out, and
+``eval_team`` and ``solver.wt_solve`` once they return (the fixpoint has
+none).  Only ``wd_solve``'s row test, with its free-symbol cell, binds per call.
 
 A row set can recur only where a disjunction searches its covers or
 splits, or where distinct teams peel off to the same rest, so only the
 operands of a disjunction keep a memo keyed by the row set (one per
 interned operand, shared by every parent; its hash CPython caches).
-``MAX_CACHE_ENTRIES``, read when a bind starts, bounds the total number of
-those entries per bind; inserts are refused once it is reached.  Row tests
+``MAX_CACHE_ENTRIES``, read at every hand-out, bounds the total number of
+those entries per call; inserts are refused once it is reached.  Row tests
 and extensions are memoised per row instead, one entry per distinct row.
 
 The lax disjunction first tries the trivial covers, the team beside the
@@ -52,7 +58,8 @@ empty team, which every formula satisfies; then, at any team size, the
 subset lattice of the sorted rows.  The subsets of the first ``width``
 rows are its first block, and each nonempty subset of the others adds a
 block of its unions with that one, made while it is walked.  ``width`` is
-the largest w with ``2**w <= MAX_CACHE_ENTRIES`` (20 at the default).
+the largest w with ``2**w <= MAX_CACHE_ENTRIES`` (20 at the default) at the
+first bind; a reused binding keeps it.
 
 The strict reading replaces covers by disjoint splits and value sets by
 single values.  It is equivalent to the lax one on the downward-closed
@@ -74,6 +81,7 @@ from collections import Counter
 from functools import partial
 from itertools import chain, filterfalse
 from typing import Callable, Mapping
+from weakref import WeakKeyDictionary
 
 from .errors import EvaluationError
 from .formulas import (
@@ -185,7 +193,8 @@ def require_in_domain(structure: Structure, team: Team) -> None:
 # ``make(binding, *arguments)``, which reads its children's values as
 # ``binding[slot]``; every child slot comes before its parent's.  The key
 # names the node the entry decides: (reading name, formula, variables), or
-# "memo" in place of the reading for a row-set memo.
+# "memo" in place of the reading for a row-set memo.  A stored key names the
+# root, which keeps the plan, as None: a plan naming it would be a cycle.
 Step = tuple[Callable[..., object], tuple, tuple]
 Plan = tuple[Step, ...]
 # A node's planning function: (planner, reading, formula, variables) -> (make, arguments).
@@ -262,7 +271,7 @@ def build_plan(formula: Formula, variables: tuple[str, ...], reading: Reading) -
         reading.check(formula, variables)
     planner = _Planner()
     planner.node(reading, formula, variables)
-    return tuple(planner.steps)
+    return tuple((make, arguments, (key[0], None, key[2]) if key[1] is formula else key) for make, arguments, key in planner.steps)
 
 
 def plan(formula: Formula, variables: tuple[str, ...], reading: Reading) -> Plan:
@@ -284,9 +293,10 @@ class Binding(list):
     """A plan bound to one structure: a value per step, the root last.
 
     The row-set memos (``memos``) share one cell of inserts left (``room``),
-    and ``width`` is the lax lattice's block width; both follow
-    ``MAX_CACHE_ENTRIES`` as the bind starts.  No bound value refers to the
-    binding, so refcounting frees it and its memos at once.
+    refilled from ``MAX_CACHE_ENTRIES`` by ``release``; ``width``, the lax
+    lattice's block width, follows it as the bind starts.  ``structure`` is
+    read while binding only.  No bound value refers to the binding or to
+    the structure, so refcounting frees the binding and its memos at once.
     """
 
     __slots__ = ("structure", "free", "room", "width", "memos")
@@ -303,6 +313,12 @@ class Binding(list):
     def root(self):
         return self[-1]
 
+    def release(self) -> None:
+        """Empty the row-set memos and refill their room."""
+        for memo in self.memos:
+            memo.clear()
+        self.room[0] = MAX_CACHE_ENTRIES
+
 
 def bind(steps: Plan, structure: Structure, free: tuple[str, list[Rows]] | None = None) -> Binding:
     """``steps`` bound to ``structure``, in one loop; atoms of ``free[0]`` read the cell ``free[1][0]`` when run."""
@@ -310,6 +326,21 @@ def bind(steps: Plan, structure: Structure, free: tuple[str, list[Rows]] | None 
     append = binding.append
     for make, arguments, _ in steps:
         append(make(binding, *arguments))
+    binding.structure = None
+    return binding
+
+
+def bound(formula: Formula, variables: tuple[str, ...], reading: Reading, structure: Structure) -> Binding:
+    """``formula``'s plan bound to ``structure``, once while both live; its row-set memos emptied."""
+    try:
+        bindings = formula.__dict__["bindings"][variables, reading]
+    except KeyError:
+        bindings = formula.__dict__.setdefault("bindings", {}).setdefault((variables, reading), WeakKeyDictionary())
+    binding = bindings.get(structure)
+    if binding is None:
+        binding = bindings[structure] = bind(plan(formula, variables, reading), structure)
+    else:
+        binding.release()
     return binding
 
 
@@ -492,8 +523,11 @@ def row_test(
 
     A quantifier takes each row's extensions by its variable from
     ``extension_memo``.  Atoms of ``free[0]`` read the cell ``free[1][0]`` at
-    run time, so a caller rebinds it per candidate.
+    run time, so a caller rebinds it per candidate; only such a test is
+    bound per call.
     """
+    if free is None:
+        return bound(formula, variables, ROW, structure).root
     return bind(plan(formula, variables, ROW), structure, free).root
 
 
@@ -731,11 +765,15 @@ class _Evaluator:
         self.structure = structure
         self.reading = STRICT if strict else LAX
 
-    def node(self, formula: Formula, variables: tuple[str, ...]) -> Node:
-        return bind(plan(formula, variables, self.reading), self.structure).root
+    def binding(self, formula: Formula, variables: tuple[str, ...]) -> Binding:
+        return bound(formula, variables, self.reading, self.structure)
 
     def check(self, team: Team, formula: Formula) -> bool:
-        return self.node(formula, team.variables)(team.rows)
+        binding = self.binding(formula, team.variables)
+        try:
+            return binding.root(team.rows)
+        finally:
+            binding.release()
 
 
 def eval_team(structure: Structure, team: Team, formula: Formula) -> bool:

@@ -29,8 +29,9 @@ from its own terms and its children's facts, so reading them is an
 attribute read and walks nothing, however deep the formula; a formula
 parsed once and solved on many structures is analysed once.
 ``classify`` and ``first_order_part`` are computed once per node and kept
-on it, and so is each ``evaluator.plan`` built for the node.  None of this
-takes part in equality, ``repr``, ``render`` or pickling.
+on it, and so is each ``evaluator.plan`` built for the node, with its
+bindings.  None of this takes part in equality, ``repr``, ``render`` or
+pickling, or refers back to the node, so refcounting frees the node.
 
 ``parse`` keeps the ``PARSED_FORMULAS`` most recently parsed texts, each
 with its vocabulary, so a text asked about many times is parsed, and its
@@ -274,9 +275,12 @@ def _per_node(analysis):
     @wraps(analysis)
     def cached(formula: Formula):
         facts = formula.__dict__
-        if name not in facts:
-            facts[name] = analysis(formula)
-        return facts[name]
+        if name in facts:
+            return facts[name]
+        value = analysis(formula)
+        if value is not formula:  # a node keeping itself would be a cycle
+            facts[name] = value
+        return value
 
     return cached
 

@@ -4,19 +4,19 @@ Satisfying teams of a formula built from first-order literals and inclusion
 atoms are closed under unions, so every team has a unique maximal
 satisfying subteam: the union of all satisfying subteams.
 
-``compile_max`` binds the formula's ``FIXPOINT`` plan to a structure and
-returns a function from a row set to its maximal satisfying subset.  The
-plan is built once per (formula, variable order) and kept on the formula
-node, like every plan in ``evaluator``: it checks the fragment and the free
-variables, settles each node's clause and the column of every term, and
-records each quantifier's extended variable order.  The bind looks up
-relations and constants and takes each quantifier's per-row extensions
-from ``model.extension_memo`` (shared, when small, by every structure with
-the same domain size).  The bound nodes then work on bare ``frozenset``s of
-rows, with no ``Team`` objects, and remember per row what does not change
-between calls (literal truth, quantifier extensions), so a search that
-checks many candidate teams binds once and pays for each distinct row
-once:
+``compile_max`` binds the formula's ``FIXPOINT`` plan to a structure, once
+(``evaluator.bound``), and returns a map from a row set to its maximal
+satisfying subset.  The plan is built once per (formula, variable order)
+and kept on the formula node, like every plan in ``evaluator``: it checks
+the fragment and the free variables, settles each node's clause and the
+column of every term, and records each quantifier's extended variable
+order.  The bind looks up relations and constants and takes each
+quantifier's per-row extensions from ``model.extension_memo`` (shared, when
+small, by every structure with the same domain size).  The bound nodes then
+work on bare ``frozenset``s of rows, with no ``Team`` objects, and remember
+per row what does not change between calls (literal truth, quantifier
+extensions), so the calls on one structure pay for each distinct row once,
+and keep no row-set memos:
 
 * a first-order subformula, quantified or not, keeps the rows that satisfy
   its one row test;
@@ -28,8 +28,8 @@ once:
   maximal subteam of the duplicated rows;
 * a universal repeatedly keeps rows all of whose extensions survive.
 
-``max_subteam`` and ``eval_inclusion`` bind and run once per call;
-``eval_inclusion`` reports whether the maximal subteam is the whole team.
+``max_subteam`` and ``eval_inclusion`` run that map; ``eval_inclusion``
+reports whether the maximal subteam is the whole team.
 Correctness is established in the test suite purely by agreement with the
 exhaustive evaluator and with subteam enumeration.
 """
@@ -46,10 +46,9 @@ from .evaluator import (
     Reading,
     Rows,
     atom_clause,
-    bind,
     bind_terms,
+    bound,
     connective_clause,
-    plan,
     quantifier_clause,
     require_in_domain,
 )
@@ -164,7 +163,7 @@ def compile_max(structure: Structure, variables: Iterable[str], formula: Formula
     aligned with ``variables``) and returns its maximal satisfying subset.
     Values must be elements of the structure; callers check that.
     """
-    return bind(plan(formula, tuple(variables), FIXPOINT), structure).root
+    return bound(formula, tuple(variables), FIXPOINT, structure).root
 
 
 def max_subteam(structure: Structure, team: Team, formula: Formula) -> Team:

@@ -14,16 +14,17 @@ decided by one ``row_test`` per row and FO(dep) by the strict evaluator;
 both are downward closed, so a failing partial team is cut.  FO(inc) is
 decided by the polynomial fixpoint and the rest by the generic lax
 evaluator, uncut.  ``compile_check`` binds the chosen check's plan (see
-``evaluator``) once, as a function of a bare row set; the fixpoint accepts
-a row set ``R`` when its maximal satisfying subset is ``R`` itself.
+``evaluator``) once per structure, as a function of a bare row set; the
+fixpoint accepts a row set ``R`` when its maximal satisfying subset is
+``R`` itself.  ``wt_solve`` empties the check's row-set memos afterwards.
 ``wt_solve`` first drops rows failing a top-level first-order conjunct
 (first-order formulas are flat, so a first-order formula is settled by
 counting rows) and binds the check only if ``k`` rows remain; a sentence
 is searched like any formula, over the one row ``()``.  ``check_sentence``
 and ``teamcheck check`` run the same check.
 
-``wd_solve`` binds the formula's row test once; candidates rebind its free
-symbol's cell.
+``wd_solve`` binds the formula's row test once per search; candidates
+rebind its free symbol's cell.
 The cut follows the symbol's polarity (formulas are in negation normal
 form): only negative occurrences, or none, make the formula antitone in
 it; only positive ones make it monotone; mixed ones get no cut.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import EvaluationError
-from .evaluator import Rows, _Evaluator, eval_fo_tarski, row_test
+from .evaluator import Binding, Rows, _Evaluator, bound, eval_fo_tarski, row_test
 from .formulas import (
     Formula,
     FragmentReport,
@@ -46,7 +47,7 @@ from .formulas import (
     first_order_part,
     subformulas,
 )
-from .inclusion import compile_max
+from .inclusion import FIXPOINT
 from .model import Row, Structure, Team, canonical_rows
 
 
@@ -174,15 +175,23 @@ def compile_check(
 ) -> Callable[[Rows], bool]:
     """Row set over the sorted ``variables`` -> does it satisfy ``formula``, by ``path``'s check.
 
-    Bound once.  Callers check that ``variables`` hold the free variables
-    and that every value is an element of the structure.  ``"strict"``
-    agrees with the lax reading only without inclusion or independence atoms.
+    Bound once per structure.  Callers check that ``variables`` hold the
+    free variables and that every value is an element of the structure.
+    ``"strict"`` agrees with the lax reading only without inclusion or
+    independence atoms.
     """
+    return _bound_check(structure, formula, variables, path)[0]
+
+
+def _bound_check(structure: Structure, formula: Formula, variables: tuple[str, ...], path: str) -> tuple[Callable, Binding]:
+    """``compile_check``'s test, and the binding whose row-set memos it fills."""
     if path == "inclusion-fixpoint":
-        maximal = compile_max(structure, variables, formula)
-        return lambda rows: maximal(rows) == rows
+        binding = bound(formula, variables, FIXPOINT, structure)
+        maximal = binding.root
+        return (lambda rows: maximal(rows) == rows), binding
     # either reading plans a first-order formula as one row test per row
-    return _Evaluator(structure, path == "strict").node(formula, variables)
+    binding = _Evaluator(structure, path == "strict").binding(formula, variables)
+    return binding.root, binding
 
 
 def check_sentence(structure: Structure, formula: Formula) -> bool:
@@ -213,7 +222,11 @@ def wt_solve(instance: WtInstance) -> Team | None:
     if len(rows) < k:
         return None
     # bound only now: searches settled by counting rows never pay for it
-    found = first_colex(rows, k, compile_check(structure, formula, variables, path), cut)
+    check, binding = _bound_check(structure, formula, variables, path)
+    try:
+        found = first_colex(rows, k, check, cut)
+    finally:
+        binding.release()
     return None if found is None else Team(variables, found)
 
 

@@ -3,6 +3,9 @@ import itertools
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,6 +235,36 @@ class TestDeepFormulas:
         code = main(["check", "--structure", str(structure), "--formula", text, "--team", str(team)])
         assert code == 0
         assert capsys.readouterr().out.splitlines()[0] == "SAT"
+
+
+class TestOutOfMemory:
+    # Listing the 3000**2 rows of ``x=y`` takes about 640 MB; the child may
+    # map 256 MB, enough to import teamcheck but not to answer.
+    CHILD = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+        "from teamcheck.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+
+    def test_memory_error_exits_unknown(self, tmp_path):
+        structure = tmp_path / "large.structure"
+        structure.write_text("domain 3000\n")
+        source = str(Path(cli.__file__).resolve().parents[1])
+        environment = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run(
+            [sys.executable, "-c", self.CHILD, "solve", "--structure", str(structure), "--formula", "x=y", "-k", "1"],
+            capture_output=True,
+            text=True,
+            env=environment,
+            timeout=120,
+        )
+        assert child.returncode == 3, child.stderr
+        assert child.stdout == ""
+        assert child.stderr == "error: out of memory; the answer is UNKNOWN\n"
+
+    def test_help_names_the_exit_codes(self):
+        assert "3 UNKNOWN (out of memory)" in build_parser().format_help()
 
 
 class TestReduce:

@@ -1,6 +1,7 @@
 import copy
 import gc
 import itertools
+import random
 import weakref
 from collections import Counter
 
@@ -17,7 +18,7 @@ from teamcheck.corpus import (
     search_cost,
 )
 from teamcheck.errors import EvaluationError
-from teamcheck import evaluator, inclusion
+from teamcheck import evaluator, formulas
 from teamcheck.evaluator import (
     LAX,
     ROW,
@@ -34,7 +35,7 @@ from teamcheck.formulas import And, Const, Exists, Forall, Or, Var, free_vars, p
 from teamcheck.inclusion import compile_max, eval_inclusion
 from teamcheck.model import Structure, Team, Vocabulary, canonical_rows
 from teamcheck.reductions import Graph, encode_indset
-from teamcheck.solver import WtInstance, check_sentence, compile_check, wt_solve
+from teamcheck.solver import WdFormula, WtInstance, check_sentence, compile_check, wd_solve, wt_solve
 from teamcheck.verify import INCLUSION_TEMPLATES
 
 GRAPH_VOCAB = Vocabulary(relations=(("E", 2),))
@@ -70,7 +71,6 @@ def spy_on_steps(monkeypatch, chosen, spy):
         return tuple(spied_step(step) if chosen(step) else step for step in original(formula, variables, reading))
 
     monkeypatch.setattr(evaluator, "plan", spied)
-    monkeypatch.setattr(inclusion, "plan", spied)
 
 
 def spy_on_maker(monkeypatch, make, spy):
@@ -570,6 +570,102 @@ class TestPlans:
                     check(without_f, rows, formula)
 
 
+class TestBoundOnce:
+    """One bind per (formula, variable order, reading) and structure, kept while both live."""
+
+    @staticmethod
+    def count_binds(monkeypatch):
+        """Binds by the reading of the plan's root."""
+        binds = Counter()
+        original = evaluator.bind
+
+        def counting(steps, structure, free=None):
+            binds[steps[-1][2][0]] += 1
+            return original(steps, structure, free)
+
+        monkeypatch.setattr(evaluator, "bind", counting)
+        return binds
+
+    def test_each_reading_binds_once_per_structure(self, monkeypatch):
+        binds = self.count_binds(monkeypatch)
+        team = Team.make(["x", "y"], [(0, 1), (1, 0)])
+        inclusion_formula = parse("exists u (E(x,u) & inc(y;u))")
+        dependence = parse("exists u (E(x,u) & dep(;u))")
+        checks = [
+            (eval_team, inclusion_formula),
+            (eval_inclusion, inclusion_formula),
+            (eval_team, dependence),
+            (strict_check, dependence),
+            (lambda structure, team, formula: all(map(row_test(structure, formula, team.variables), team.rows)), parse("E(x,y)")),
+        ]
+        verdicts = {
+            graph_structure(2, [(0, 1), (1, 0)]): [True, True, False, False, True],
+            graph_structure(2, [(0, 0), (1, 0)]): [False, False, True, True, False],
+        }
+        for structure, expected in verdicts.items():
+            before = Counter(binds)
+            for _ in range(50):
+                assert [check(structure, team, formula) for check, formula in checks] == expected
+            assert binds - before == {"lax": 2, "fixpoint": 1, "strict": 1, "row": 1}
+
+    def test_wd_solve_binds_per_call(self, monkeypatch):
+        binds = self.count_binds(monkeypatch)
+        wd = WdFormula(parse("forall u (S(u) | !E(u,u))"))
+        structure = graph_structure(3, [(0, 0)])
+        for calls in range(1, 4):
+            assert wd_solve(structure, wd, 1) == frozenset({(0,)})
+            assert binds == {"row": calls}
+
+    def test_a_bound_root_dies_with_its_structure(self):
+        inclusion_formula = parse("exists u (inc(u;x) & (E(u,y) | u=y))")
+        dependence = parse("dep(x;y) | exists u (E(x,u) & dep(u;y))")
+        variables = ("x", "y")
+        gc.disable()
+        try:
+            structure = graph_structure(3, [(0, 1), (1, 2)])
+            roots = [
+                compile_max(structure, variables, inclusion_formula),
+                compile_check(structure, inclusion_formula, variables, "generic"),
+                compile_check(structure, dependence, variables, "strict"),
+                row_test(structure, parse("E(x,y) | x=y"), variables),
+            ]
+            alive = [weakref.ref(root) for root in roots]
+            del roots, structure
+            assert [ref() for ref in alive] == [None] * 4
+        finally:
+            gc.enable()
+
+    def test_a_formula_with_plans_and_bindings_dies_with_the_parse_cache(self):
+        # texts no other test parses, so only the parse cache holds them
+        texts = [
+            "exists w (inc(w;p) & (E(w,q) | w=q))",
+            "dep(p;q) | exists w (E(p,w) & dep(w;q))",
+            "forall w (E(p,w) | E(w,q))",
+        ]
+        structure = graph_structure(3, [(0, 1), (1, 2)])
+        team = Team.make(["p", "q"], [(0, 1), (1, 2), (2, 0)])
+        gc.disable()
+        try:
+            alive = []
+            for text in texts:
+                formula = parse(text)
+                eval_team(structure, team, formula)
+                wt_solve(WtInstance(structure, formula, 2))
+                if formula.atoms <= {"inc"}:
+                    eval_inclusion(structure, team, formula)
+                if formula.atoms <= {"dep"}:
+                    strict_check(structure, team, formula)
+                if formula.first_order:
+                    row_test(structure, formula, team.variables)
+                assert formula.__dict__["plans"] and formula.__dict__["bindings"]
+                alive += [weakref.ref(formula), weakref.ref(compile_check(structure, formula, team.variables, "generic"))]
+                del formula
+            formulas._parse.cache_clear()
+            assert [ref() for ref in alive] == [None] * len(alive)
+        finally:
+            gc.enable()
+
+
 class TestCheckSentence:
     def test_reflexive_universal(self):
         structure = graph_structure(2, [(0, 0), (1, 1)])
@@ -917,7 +1013,9 @@ class TestExistsNarrowing:
         assert decide(structure, team, parse(text)) is False
         assert calls[method] == 0
         # No row has one: the first row decides, and no other row is narrowed.
+        # A fresh structure, since rows narrowed above keep their truths.
         calls.clear()
+        structure = graph_structure(3, [(0, 1), (1, 0), (0, 0)])
         team = Team.make(["x", "y"], [(0, 2), (1, 2), (2, 2)])
         assert decide(structure, team, parse(text)) is False
         assert calls[method] == 0 and calls[parse("E(u,y)")] == 3
@@ -996,6 +1094,43 @@ class TestCacheBound:
             monkeypatch.setattr(evaluator_module, "MAX_CACHE_ENTRIES", bound)
             for structure, team, formula, expected in cases:
                 assert eval_team(structure, team, formula) == expected, (render(formula), sorted(team.rows), bound)
+
+    def test_reused_bindings_give_the_verdicts_of_fresh_binds(self, monkeypatch):
+        # Each round binds at its first bound and reuses the bindings at the
+        # others: a binding's lattice width stays, its memo room follows.
+        import teamcheck.evaluator as evaluator_module
+
+        bounds = [0, 1, evaluator_module.MAX_CACHE_ENTRIES]
+        rng = random.Random(27)
+        for first in range(len(bounds)):
+            cases = list(self.grid())
+            for bound in bounds[first:] + bounds[:first]:
+                monkeypatch.setattr(evaluator_module, "MAX_CACHE_ENTRIES", bound)
+                rng.shuffle(cases)
+                for structure, team, formula in cases:
+                    fresh = bind(plan(formula, team.variables, LAX), structure).root(team.rows)
+                    case = (render(formula), sorted(team.rows), bound)
+                    assert eval_team(structure, team, formula) == fresh, case
+                    assert eval_inclusion(structure, team, formula) == fresh, case
+
+    def test_a_reused_binding_keeps_no_row_set_memos_after_the_call(self, monkeypatch):
+        handed = []
+        original = evaluator.bound
+
+        def recording(*arguments):
+            handed.append(original(*arguments))
+            return handed[-1]
+
+        monkeypatch.setattr(evaluator, "bound", recording)
+        monkeypatch.setattr(evaluator, "MAX_CACHE_ENTRIES", 8)  # the team below fills 20 when unbounded
+        *_, (structure, team, formula) = self.grid()  # the lattice team
+        for _ in range(2):
+            assert eval_team(structure, team, formula) is False
+        assert handed[0] is handed[1]
+        assert not any(handed[0].memos)
+        # the calls did fill them, each with the whole room
+        handed[0].root(team.rows)
+        assert sum(map(len, handed[0].memos)) == 8
 
     def test_memo_entries_never_exceed_the_bound(self, monkeypatch):
         import teamcheck.evaluator as evaluator_module
