@@ -46,11 +46,14 @@ def _check_constant(name: str, value: int, domain_size: int) -> None:
 
 def _relation_rows(name: str, arity: int, tuples, domain_size: int) -> frozenset[tuple[int, ...]]:
     """The tuples as a frozenset, once every one has the arity and lies in the domain."""
-    for tup in tuples:
-        if len(tup) != arity:
-            raise ValueError(f"tuple {tup} has wrong arity for {name!r}/{arity}")
-        if any(not (0 <= v < domain_size) for v in tup):
-            raise ValueError(f"tuple {tup} of {name!r} mentions elements outside the domain")
+    # the lengths and the distinct values checked in bulk; the loop only names the first bad tuple
+    values = set(itertools.chain.from_iterable(tuples))
+    if set(map(len, tuples)) - {arity} or values and not (0 <= min(values) and max(values) < domain_size):
+        for tup in tuples:
+            if len(tup) != arity:
+                raise ValueError(f"tuple {tup} has wrong arity for {name!r}/{arity}")
+            if any(not (0 <= v < domain_size) for v in tup):
+                raise ValueError(f"tuple {tup} of {name!r} mentions elements outside the domain")
     return frozenset(map(tuple, tuples))
 
 

@@ -12,11 +12,14 @@ unpruned search finds.
 ``solve_path`` is the one table from fragment to check and cut.  FO is
 decided by one ``row_test`` per row and FO(dep) by the strict evaluator;
 both are downward closed, so a failing partial team is cut.  FO(inc) is
-decided by the polynomial fixpoint and the rest by the generic lax
-evaluator, uncut.  ``compile_check`` binds the chosen check's plan (see
-``evaluator``) once per structure, as a function of a bare row set; the
-fixpoint accepts a row set ``R`` when its maximal satisfying subset is
-``R`` itself.  ``wt_solve`` empties the check's row-set memos afterwards.
+decided by the polynomial fixpoint: a row set passes when it is its own
+maximal satisfying subset.  FO(inc) is union closed and holds on the empty
+team (Galliani 2012), so that subset holds every satisfying subset; the
+``"union"`` cut drops a partial team outside the maximal subset of the rows
+its completions may use, or when that subset is smaller than ``k``.  The
+rest go to the generic lax evaluator, uncut.  ``compile_check`` binds the
+chosen check's plan (see ``evaluator``) once per structure, as a function
+of a bare row set.  ``wt_solve`` empties the check's row-set memos afterwards.
 ``wt_solve`` first drops rows failing a top-level first-order conjunct
 (first-order formulas are flat, so a first-order formula is settled by
 counting rows) and binds the check only if ``k`` rows remain; a sentence
@@ -120,7 +123,7 @@ def colex_subsets(
 
 _PATHS = {
     "FO": ("fo-counting", "antitone"),
-    "FO(inc)": ("inclusion-fixpoint", None),
+    "FO(inc)": ("inclusion-fixpoint", "union"),
     "FO(dep)": ("strict", "antitone"),
 }
 
@@ -140,12 +143,18 @@ def first_colex(
     k: int,
     holds: Callable[[frozenset], bool],
     cut: str | None,
+    maximal: Callable[[frozenset], frozenset] | None = None,
 ) -> frozenset | None:
     """The colex-first ``k``-subset of ``items`` that ``holds``, or ``None``.
 
     ``cut`` names a closure property of ``holds``: ``"antitone"`` cuts a
     failing partial; ``"monotone"`` cuts a partial that fails even with
-    every earlier item added; ``None`` cuts nothing.
+    every earlier item added; ``"union"`` cuts a partial unless ``maximal``
+    of that same set contains the partial and has at least ``k`` items;
+    ``None`` cuts nothing.  ``"union"`` needs a ``holds`` closed under
+    unions and true of the empty set, and ``maximal`` mapping a set to its
+    largest subset that holds: that subset then contains every subset that
+    holds, and every completion of the partial is such a subset.
     """
 
     def chosen(indices: tuple[int, ...]) -> frozenset:
@@ -158,6 +167,10 @@ def first_colex(
     elif cut == "monotone":
         def extendable(partial: tuple[int, ...]) -> bool:
             return holds(chosen(partial + tuple(range(partial[-1]))))
+    elif cut == "union":
+        def extendable(partial: tuple[int, ...]) -> bool:
+            pool = maximal(chosen(partial + tuple(range(partial[-1]))))
+            return len(pool) >= k and pool.issuperset(map(items.__getitem__, partial))
 
     # looked up as a module global, so a wrapper on ``colex_subsets`` sees every search
     for combo in colex_subsets(len(items), k, extendable):
@@ -183,15 +196,31 @@ def compile_check(
     return _bound_check(structure, formula, variables, path)[0]
 
 
-def _bound_check(structure: Structure, formula: Formula, variables: tuple[str, ...], path: str) -> tuple[Callable, Binding]:
-    """``compile_check``'s test, and the binding whose row-set memos it fills."""
+def _bound_check(structure: Structure, formula: Formula, variables: tuple[str, ...], path: str) -> tuple[Callable, Binding, Callable | None]:
+    """``compile_check``'s test, the binding whose row-set memos it fills, and the fixpoint's map.
+
+    The fixpoint's test and the ``"union"`` cut share one maximal-subteam
+    map, memoised by row set for one search: in colex order a partial's
+    rows often recur as the next partial's or as a candidate.  Its inserts
+    count against the binding's ``room``.
+    """
     if path == "inclusion-fixpoint":
         binding = bound(formula, variables, FIXPOINT, structure)
-        maximal = binding.root
-        return (lambda rows: maximal(rows) == rows), binding
+        maximal, room, memo = binding.root, binding.room, {}
+
+        def memoised(rows: Rows) -> Rows:
+            kept = memo.get(rows)
+            if kept is None:
+                kept = maximal(rows)
+                if room[0] > 0:
+                    room[0] -= 1
+                    memo[rows] = kept
+            return kept
+
+        return (lambda rows: memoised(rows) == rows), binding, memoised
     # either reading plans a first-order formula as one row test per row
     binding = _Evaluator(structure, path == "strict").binding(formula, variables)
-    return binding.root, binding
+    return binding.root, binding, None
 
 
 def check_sentence(structure: Structure, formula: Formula) -> bool:
@@ -222,9 +251,9 @@ def wt_solve(instance: WtInstance) -> Team | None:
     if len(rows) < k:
         return None
     # bound only now: searches settled by counting rows never pay for it
-    check, binding = _bound_check(structure, formula, variables, path)
+    check, binding, maximal = _bound_check(structure, formula, variables, path)
     try:
-        found = first_colex(rows, k, check, cut)
+        found = first_colex(rows, k, check, cut, maximal)
     finally:
         binding.release()
     return None if found is None else Team(variables, found)

@@ -7,7 +7,8 @@ import pytest
 from teamcheck.corpus import SplitMix64, all_graphs, random_layered_prop, random_structure
 from teamcheck.errors import EvaluationError
 from teamcheck.evaluator import eval_fo_tarski, eval_team
-from teamcheck.formulas import And, Eq, Exists, Forall, Neq, NegRel, Or, Rel, Var, classify, free_vars, parse
+from teamcheck.formulas import And, Eq, Exists, Forall, Neq, NegRel, Or, Rel, Var, classify, first_order_part, free_vars, parse
+from teamcheck.inclusion import eval_inclusion, max_subteam
 from teamcheck.model import Structure, Team, Vocabulary, canonical_rows
 from teamcheck import solver
 from teamcheck.prop import parse_prop, prop_variables, render_prop
@@ -17,6 +18,7 @@ from teamcheck.reductions import (
     encode_clique,
     encode_domset,
     encode_indset,
+    encode_wsat,
     graph_brute,
     graph_structure,
     theta_formula,
@@ -114,7 +116,7 @@ class TestFirstColex:
     @pytest.mark.parametrize("text, path", [
         ("E(x,y) & exists z x=z", ("fo-counting", "antitone")),
         ("dep(x;y)", ("strict", "antitone")),
-        ("inc(x;y)", ("inclusion-fixpoint", None)),
+        ("inc(x;y)", ("inclusion-fixpoint", "union")),
         ("indep(;x;y)", ("generic", None)),
         ("dep(x;y) & inc(x;y)", ("generic", None)),
     ])
@@ -123,7 +125,7 @@ class TestFirstColex:
 
 
 def test_search_work_is_pinned(monkeypatch):
-    """Candidates, cut queries and cuts of three search families, as counted at the last change to the search."""
+    """Candidates, cut queries and cuts of four search families, as counted at the last change to the search."""
     counts = [0, 0, 0]
     original = solver.colex_subsets
 
@@ -144,10 +146,14 @@ def test_search_work_is_pinned(monkeypatch):
     monkeypatch.setattr(solver, "colex_subsets", counted)
     graphs = list(all_graphs(4))
     for graph in graphs:
-        for encode in (encode_domset, encode_indset, encode_clique):
+        for k in (1, 2, 3):
+            wt_solve(encode_indset(graph, k))
+    dep_counts, counts[:] = tuple(counts), [0, 0, 0]
+    for graph in graphs:
+        for encode in (encode_domset, encode_clique):
             for k in (1, 2, 3):
                 wt_solve(encode(graph, k))
-    wt_counts, counts[:] = tuple(counts), [0, 0, 0]
+    inc_counts, counts[:] = tuple(counts), [0, 0, 0]
     for graph in graphs:
         for k in range(4):
             wd_solve(graph_structure(graph), clique_wd_formula(), k)
@@ -160,7 +166,9 @@ def test_search_work_is_pinned(monkeypatch):
             structure = build_syntax_circuit(formula, depth)
             for k in range(1, len(prop_variables(formula)) + 1):
                 wd_solve(structure, theta_formula(depth, negative=not positive), k)
-    assert (wt_counts, clique_counts, tuple(counts)) == ((1011, 550, 241), (359, 394, 85), (394, 1491, 1332))
+    assert (dep_counts, inc_counts, clique_counts, tuple(counts)) == (
+        (295, 550, 241), (489, 635, 163), (359, 394, 85), (394, 1491, 1332)
+    )
 
 
 class TestWtSolve:
@@ -451,3 +459,104 @@ def test_inclusion_witness_matches_exhaustive_search(text, max_n):
             for k in range(rows + 1 if formula.quantifier_free else min(rows, 4) + 1):
                 expected = _reference_wt_witness(structure, formula, k)
                 assert wt_solve(WtInstance(structure, formula, k)) == expected, (n, k)
+
+
+@pytest.fixture
+def cut_verdicts(monkeypatch):
+    """Every (partial, kept) verdict of the searches' cuts, recorded by wrapping ``colex_subsets``."""
+    verdicts = []
+    original = solver.colex_subsets
+
+    def recorded(indices, k, extendable=None):
+        def judged(partial):
+            kept = extendable(partial)
+            verdicts.append((partial, kept))
+            return kept
+
+        return original(indices, k, extendable and judged)
+
+    monkeypatch.setattr(solver, "colex_subsets", recorded)
+    return verdicts
+
+
+def _assert_union_search(instance, verdicts, check=eval_team):
+    """``wt_solve`` finds the unpruned search's witness, and its cut keeps exactly the partials the rule keeps.
+
+    The unpruned search checks every candidate with ``check`` over the rows
+    that satisfy the formula's top-level first-order conjuncts (by Tarski
+    truth).  The rule keeps a partial ``P`` when the maximal subteam of
+    ``P`` plus every earlier row contains ``P`` and has at least ``k`` rows,
+    that subteam computed afresh by ``max_subteam``.  Returns the verdicts.
+    """
+    structure, formula, k = instance.structure, instance.formula, instance.k
+    variables = tuple(sorted(free_vars(formula)))
+    part = first_order_part(formula)
+    rows = [
+        row
+        for row in canonical_rows(structure.domain_size, variables)
+        if part is None or eval_fo_tarski(structure, dict(zip(variables, row)), part)
+    ]
+    teams = (Team(variables, chosen) for chosen in _colex_reference(rows, k))
+    expected = next((team for team in teams if check(structure, team, formula)), None)
+    verdicts.clear()
+    assert wt_solve(instance) == expected
+    for partial, kept in verdicts:
+        chosen = {rows[i] for i in partial}
+        pool = max_subteam(structure, Team(variables, chosen.union(rows[: partial[-1]])), formula).rows
+        assert kept == (chosen <= pool and len(pool) >= k), partial
+    return [kept for _, kept in verdicts]
+
+
+class TestUnionCut:
+    """FO(inc) searches cut by maximal subteams, against unpruned colex searches."""
+
+    @pytest.mark.parametrize("text, max_n", INCLUSION_TEMPLATES)
+    def test_templates_at_every_size(self, cut_verdicts, text, max_n):
+        rng = SplitMix64(sum(map(ord, text)) + 28)
+        for n in range(1, max_n + 1):
+            for _ in range(2):
+                structure = random_structure(rng, n, min_domain=n)
+                formula = parse(text, structure.vocabulary)
+                assert solve_path(classify(formula)) == ("inclusion-fixpoint", "union")
+                for k in range(n ** len(free_vars(formula)) + 1):
+                    _assert_union_search(WtInstance(structure, formula, k), cut_verdicts)
+
+    @pytest.mark.parametrize("encode, check", [(encode_clique, eval_team), (encode_domset, eval_inclusion)])
+    def test_graph_encodings(self, cut_verdicts, encode, check):
+        # the exhaustive lax evaluator needs about a second per 4-vertex
+        # domset search at k = 2, so those candidates are checked by the fixpoint
+        kept = []
+        for graph in all_graphs(4):
+            for k in range(1, 5):
+                kept += _assert_union_search(encode(graph, k), cut_verdicts, check)
+        assert set(kept) == {True, False}
+
+    @pytest.mark.parametrize("text", ["x1 & x2", "x1 | x2", "(x1 | x2) & x3", "(x1 | x2) & (x2 | x3)"])
+    def test_wsat_encodings(self, cut_verdicts, text):
+        # the exhaustive evaluator takes seconds per search at weight 3, and
+        # runs out of memory on deeper formulas
+        for k in range(3):
+            _assert_union_search(encode_wsat(parse_prop(text), k)[0], cut_verdicts)
+
+    def test_a_partial_outside_a_large_pool_is_cut(self, cut_verdicts):
+        # the directed triangle satisfies inc(x;y) though no two of its edges
+        # do, and the edge (3,0) lies in no satisfying team: the search at
+        # k = 2 reaches it with a pool of three rows, and cuts it
+        structure = structure_with_edges(4, [(0, 1), (1, 2), (2, 0), (3, 0)])
+        formula = parse("inc(x;y) & E(x,y)", structure.vocabulary)
+        assert _assert_union_search(WtInstance(structure, formula, 2), cut_verdicts) == [False, True, False]
+
+    def test_clique_cliff_takes_few_cut_queries(self, cut_verdicts):
+        # the fourth of ten 9-vertex graphs drawn with edge probability 0.4:
+        # searched without a cut, its 4-clique team takes about 25 s (CPython 3.11, 2-CPU host)
+        rng = random.Random(7)
+        for _ in range(4):
+            graph = Graph.make(9, [e for e in itertools.combinations(range(9), 2) if rng.random() < 0.4])
+        assert len(graph.edges) == 21
+        instance = encode_clique(graph, 4)
+        found = wt_solve(instance)
+        assert len(cut_verdicts) <= 150
+        assert sorted(found.rows) == [
+            (0, 1), (1, 0), (2, 4), (2, 5), (3, 4), (3, 5), (4, 2), (4, 3), (4, 5), (5, 2), (5, 3), (5, 4)
+        ]
+        assert eval_inclusion(instance.structure, found, instance.formula)
