@@ -164,32 +164,31 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    for flag, value, least in (("--cases", args.cases, 0), ("--vertices", args.vertices, 0), ("--jobs", args.jobs, 1)):
-        if value < least:
-            raise TeamcheckError(f"{flag} must be at least {least}, got {value}")
+    for flag, value in (("--cases", args.cases), ("--vertices", args.vertices)):
+        if value < 0:
+            raise TeamcheckError(f"{flag} must be at least 0, got {value}")
     seed = args.seed if args.seed is not None else _default_seed()
     # opened before the suite runs, so a report path that cannot be written costs no cases
     with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext() as handle:
         if args.suite == "closure":
-            report = run_closure_suite(seed, cases_per_fragment=args.cases, jobs=args.jobs)
+            report = run_closure_suite(seed, cases_per_fragment=args.cases)
         elif args.suite == "reductions":
             report = run_reductions_suite(
                 seed,
                 vertex_count=args.vertices,
                 wsat_samples=args.cases,
                 theta_samples=args.cases,
-                jobs=args.jobs,
             )
-            inclusion = run_inclusion_suite(seed, jobs=args.jobs)
+            inclusion = run_inclusion_suite(seed)
             report.cases += [
                 type(c)(index=len(report.cases) + i, name=c.name, status=c.status, detail=c.detail)
                 for i, c in enumerate(inclusion.cases)
             ]
             report.metadata["inclusion_cases"] = len(inclusion.cases)
         elif args.suite == "clique-experiment":
-            report = run_clique_experiment(vertex_count=args.vertices, jobs=args.jobs)
+            report = run_clique_experiment(vertex_count=args.vertices)
         else:
-            report = run_circuit_suite(seed, circuits=args.cases, jobs=args.jobs)
+            report = run_circuit_suite(seed, circuits=args.cases)
 
         text = report.to_json() if args.json else "\n".join(report.lines())
         if handle is None:
@@ -236,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--cases", type=int, default=100, help="random cases per family")
     verify.add_argument("--vertices", type=int, default=4, help="graph size for exhaustive suites")
-    verify.add_argument("--jobs", type=int, default=1)
     verify.add_argument("--out", help="report file (stdout when omitted)")
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=cmd_verify)

@@ -40,10 +40,11 @@ the variable order); no ``Team`` is built during the search.
 
 ``bound`` keeps one binding per plan and structure beside the plan, keyed
 weakly by the structure, so it lives as long as both and keeps neither
-alive.  Its per-row memos stay with it.  Row-set memos never outlive the
-call that filled them: ``bound`` empties them at every hand-out, and
-``eval_team`` and ``solver.wt_solve`` once they return (the fixpoint has
-none).  Only ``wd_solve``'s row test, with its free-symbol cell, binds per call.
+alive.  Its per-row memos stay with it.  Its row-set memos are emptied at
+every hand-out by ``bound``, and by ``eval_team``, ``solver.check_sentence``
+and ``solver.wt_solve`` once they return (the fixpoint has none); a
+``solver.compile_check`` check leaves them until the next hand-out.  Only
+``wd_solve``'s row test, with its free-symbol cell, binds per call.
 
 A row set can recur only where a disjunction searches its covers or
 splits, or where distinct teams peel off to the same rest, so only the

@@ -8,7 +8,7 @@ order, so row sets hash and compare cheaply and team equality is exactly
 row-set equality.
 
 All values here are immutable after construction and every operation is
-pure, so they are safe to share between concurrent workers.  The one
+pure, so any number of teams, searches and bindings may share one.  The one
 mutable type is ``Memo``, a per-row cache.  ``extension_memo`` keeps a
 row's extensions by a variable in one; it is the row-extension primitive
 behind ``duplicate``, ``evaluator.row_test`` and the bound team evaluators.

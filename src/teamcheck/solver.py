@@ -188,8 +188,10 @@ def compile_check(
 ) -> Callable[[Rows], bool]:
     """Row set over the sorted ``variables`` -> does it satisfy ``formula``, by ``path``'s check.
 
-    Bound once per structure.  Callers check that ``variables`` hold the
-    free variables and that every value is an element of the structure.
+    Bound once per structure.  The row-set memos the check fills last
+    until the binding is next handed out.  Callers check that ``variables``
+    hold the free variables and that every value is an element of the
+    structure.
     ``"strict"`` agrees with the lax reading only without inclusion or
     independence atoms.
     """
@@ -228,7 +230,11 @@ def check_sentence(structure: Structure, formula: Formula) -> bool:
     if formula.free:
         raise EvaluationError("check_sentence expects a sentence without free variables")
     path, _ = solve_path(classify(formula))
-    return compile_check(structure, formula, (), path)(frozenset({()}))
+    check, binding, _ = _bound_check(structure, formula, (), path)
+    try:
+        return check(frozenset({()}))
+    finally:
+        binding.release()
 
 
 def wt_solve(instance: WtInstance) -> Team | None:

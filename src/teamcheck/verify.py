@@ -4,18 +4,17 @@ Closure properties, the inclusion fixpoint grid, reduction faithfulness,
 the clique experiment and circuit proof trees each produce a line-per-case
 report plus pass/fail/discrepancy counts.  Failures mean a checked invariant
 is violated; discrepancies are recorded observations (the clique experiment
-reports them without failing).  Suites accept ``jobs`` to fan independent
-cases out to worker processes; results are always ordered by case index.
+reports them without failing).  Each suite runs its cases in this process,
+one after another, as it draws them; a case's index is its position in the
+report.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing
-import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 from .corpus import (
     SplitMix64,
@@ -114,14 +113,6 @@ class Report:
         )
 
 
-def _run_cases(runner: Callable, tasks: Sequence, jobs: int) -> list:
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1:
-        return [runner(task) for task in tasks]
-    with multiprocessing.Pool(jobs) as pool:
-        return pool.map(runner, tasks, chunksize=max(1, len(tasks) // (jobs * 8) or 1))
-
-
 # --- closure suite -----------------------------------------------------------
 
 _FRAGMENTS = ("FO", "FO(dep)", "FO(inc)", "FO(indep)")
@@ -134,8 +125,7 @@ def _subteams(team: Team) -> Iterator[Team]:
         yield Team(team.variables, frozenset(r for i, r in enumerate(rows) if mask >> i & 1))
 
 
-def _closure_case(task) -> CaseResult:
-    index, fragment, structure, team, second_team, formula = task
+def _closure_case(index, fragment, structure, team, second_team, formula) -> CaseResult:
     violations: list[str] = []
 
     satisfied = eval_team(structure, team, formula)
@@ -186,16 +176,11 @@ def _closure_case(task) -> CaseResult:
     return CaseResult(index, name, status, ",".join(violations))
 
 
-def run_closure_suite(
-    seed: int,
-    cases_per_fragment: int = 500,
-    jobs: int = 1,
-) -> Report:
+def run_closure_suite(seed: int, cases_per_fragment: int = 500) -> Report:
     """Empty-team, locality, flatness, downward/union closure, strict-lax agreement."""
     max_domain = max_team_rows = 4
     rng = SplitMix64(seed)
-    tasks = []
-    index = 0
+    cases = []
     for fragment in _FRAGMENTS:
         for _ in range(cases_per_fragment):
             structure = random_structure(rng, max_domain)
@@ -204,9 +189,7 @@ def run_closure_suite(
             domain = sorted(free_vars(formula) | ({"w"} if with_extra else set()))
             team = random_team(rng, structure, domain, max_team_rows)
             second = random_team(rng, structure, domain, max_team_rows)
-            tasks.append((index, fragment, structure, team, second, formula))
-            index += 1
-    cases = _run_cases(_closure_case, tasks, jobs)
+            cases.append(_closure_case(len(cases), fragment, structure, team, second, formula))
     return Report("closure", cases, {"seed": seed, "cases_per_fragment": cases_per_fragment})
 
 
@@ -230,8 +213,7 @@ INCLUSION_TEMPLATES: tuple[tuple[str, int], ...] = (
 )
 
 
-def _inclusion_case(task) -> CaseResult:
-    index, structure, team, text = task
+def _inclusion_case(index, structure, team, text) -> CaseResult:
     formula = parse(text, structure.vocabulary)
     fixpoint = eval_inclusion(structure, team, formula)
     generic = eval_team(structure, team, formula)
@@ -246,12 +228,11 @@ def _inclusion_case(task) -> CaseResult:
     return CaseResult(index, f"{text} n={structure.domain_size} team={len(team)}", status, "; ".join(problems))
 
 
-def run_inclusion_suite(seed: int, jobs: int = 1) -> Report:
+def run_inclusion_suite(seed: int) -> Report:
     """Fixpoint evaluation versus the exhaustive evaluator and subteam enumeration."""
     max_team_rows = 4
     rng = SplitMix64(seed)
-    tasks = []
-    index = 0
+    cases = []
     for text, template_max_n in INCLUSION_TEMPLATES:
         formula = parse(text)
         variables = tuple(sorted(free_vars(formula)))
@@ -262,9 +243,7 @@ def run_inclusion_suite(seed: int, jobs: int = 1) -> Report:
                 for size in range(0, min(max_team_rows, len(rows)) + 1):
                     for combo in itertools.combinations(range(len(rows)), size):
                         team = Team(variables, frozenset(rows[i] for i in combo))
-                        tasks.append((index, structure, team, text))
-                        index += 1
-    cases = _run_cases(_inclusion_case, tasks, jobs)
+                        cases.append(_inclusion_case(len(cases), structure, team, text))
     return Report("inclusion", cases, {"seed": seed, "templates": len(INCLUSION_TEMPLATES)})
 
 
@@ -273,13 +252,11 @@ def run_inclusion_suite(seed: int, jobs: int = 1) -> Report:
 _GRAPH_ENCODERS = {"domset": encode_domset, "indset": encode_indset}
 
 
-def _graph_case(task) -> CaseResult:
-    index, problem, edges, vertex_count, k = task
-    graph = Graph.make(vertex_count, edges)
+def _graph_case(index, problem, graph, k) -> CaseResult:
     expected = graph_brute(problem, graph, k)
     solved = wt_solve(_GRAPH_ENCODERS[problem](graph, k)) is not None
     status = "pass" if solved == expected else "fail"
-    return CaseResult(index, f"{problem} edges={sorted(edges)} k={k}", status,
+    return CaseResult(index, f"{problem} edges={sorted(graph.edges)} k={k}", status,
                       "" if status == "pass" else f"brute={expected} solver={solved}")
 
 
@@ -290,19 +267,16 @@ def clique_wd_formula() -> WdFormula:
     return WdFormula(parse(CLIQUE_WD_TEXT), "S", 1)
 
 
-def _wd_clique_case(task) -> CaseResult:
-    index, edges, vertex_count, k = task
-    graph = Graph.make(vertex_count, edges)
+def _wd_clique_case(index, graph, k) -> CaseResult:
     structure = graph_structure(graph)
     expected = graph_brute("clique", graph, k)
     solved = wd_solve(structure, clique_wd_formula(), k) is not None
     status = "pass" if solved == expected else "fail"
-    return CaseResult(index, f"wd-clique edges={sorted(edges)} k={k}", status,
+    return CaseResult(index, f"wd-clique edges={sorted(graph.edges)} k={k}", status,
                       "" if status == "pass" else f"brute={expected} wd={solved}")
 
 
-def _wsat_inclusion_case(task) -> CaseResult:
-    index, sample, formula_blob, k = task
+def _wsat_inclusion_case(index, sample, formula_blob, k) -> CaseResult:
     formula = parse_prop(formula_blob)
     expected = wsat_brute(formula, k)
     instance, depth = encode_wsat(formula, k)
@@ -312,8 +286,7 @@ def _wsat_inclusion_case(task) -> CaseResult:
                       "" if status == "pass" else f"brute={expected} solver={witness is not None}")
 
 
-def _theta_case(task) -> CaseResult:
-    index, formula_blob, depth, negative, k = task
+def _theta_case(index, formula_blob, depth, negative, k) -> CaseResult:
     formula = parse_prop(formula_blob)
     expected = wsat_brute(formula, k)
     structure = build_syntax_circuit(formula, depth)
@@ -330,54 +303,39 @@ def run_reductions_suite(
     vertex_count: int = 5,
     wsat_samples: int = 200,
     theta_samples: int = 200,
-    jobs: int = 1,
 ) -> Report:
     """Exhaustive graph-reduction faithfulness plus sampled level-formula checks."""
     rng = SplitMix64(seed)
     ks = (1, 2, 3)
-    graphs = [frozenset(g.edges) for g in all_graphs(vertex_count)]
+    graphs = list(all_graphs(vertex_count))
 
-    graph_tasks = []
-    wd_tasks = []
-    index = 0
+    cases = []
     for problem in _GRAPH_ENCODERS:
-        for edges in graphs:
+        for graph in graphs:
             for k in ks:
-                graph_tasks.append((index, problem, edges, vertex_count, k))
-                index += 1
-    for edges in graphs:
+                cases.append(_graph_case(len(cases), problem, graph, k))
+    for graph in graphs:
         for k in range(0, max(ks) + 1):
-            wd_tasks.append((index, edges, vertex_count, k))
-            index += 1
+            cases.append(_wd_clique_case(len(cases), graph, k))
 
-    wsat_tasks = []
     for sample in range(wsat_samples):
         formula = random_layered_prop(rng, 2, positive=True)
         blob = render_prop(formula)
         for k in range(1, len(prop_variables(formula)) + 1):
-            wsat_tasks.append((index, sample, blob, k))
-            index += 1
+            cases.append(_wsat_inclusion_case(len(cases), sample, blob, k))
 
-    theta_tasks = []
     for depth in (1, 3):
         for _ in range(theta_samples // 2):
             formula = random_layered_prop(rng, depth, positive=False)
             blob = render_prop(formula)
             for k in range(1, len(prop_variables(formula)) + 1):
-                theta_tasks.append((index, blob, depth, True, k))
-                index += 1
+                cases.append(_theta_case(len(cases), blob, depth, True, k))
     for _ in range(theta_samples // 4):
         formula = random_layered_prop(rng, 2, positive=True)
         blob = render_prop(formula)
         for k in range(1, len(prop_variables(formula)) + 1):
-            theta_tasks.append((index, blob, 2, False, k))
-            index += 1
+            cases.append(_theta_case(len(cases), blob, 2, False, k))
 
-    cases = []
-    cases += _run_cases(_graph_case, graph_tasks, jobs)
-    cases += _run_cases(_wd_clique_case, wd_tasks, jobs)
-    cases += _run_cases(_wsat_inclusion_case, wsat_tasks, jobs)
-    cases += _run_cases(_theta_case, theta_tasks, jobs)
     return Report(
         "reductions",
         cases,
@@ -393,52 +351,42 @@ def run_reductions_suite(
 
 # --- clique experiment -----------------------------------------------------------
 
-def _clique_experiment_case(task) -> CaseResult:
-    index, edges, vertex_count, k = task
-    graph = Graph.make(vertex_count, edges)
+def _clique_experiment_case(index, graph, k) -> CaseResult:
+    name = f"clique edges={sorted(graph.edges)} k={k}"
     expected = graph_brute("clique", graph, k)
     instance = encode_clique(graph, k)
     witness = wt_solve(instance)
     solved = witness is not None
     if expected and not solved:
-        return CaseResult(index, f"clique edges={sorted(edges)} k={k}", "fail", "forward direction broken")
+        return CaseResult(index, name, "fail", "forward direction broken")
     if solved and not expected:
         return CaseResult(
             index,
-            f"clique edges={sorted(edges)} k={k}",
+            name,
             "discrepancy",
             f"encoded instance satisfiable without a {k}-clique (team size {instance.k})",
         )
-    return CaseResult(index, f"clique edges={sorted(edges)} k={k}", "pass")
+    return CaseResult(index, name, "pass")
 
 
-def run_clique_experiment(
-    vertex_count: int = 5,
-    jobs: int = 1,
-) -> Report:
+def run_clique_experiment(vertex_count: int = 5) -> Report:
     """Full-equivalence experiment for the clique encoding.
 
     The forward direction (clique implies satisfiable encoding) is an
     invariant; reverse-direction mismatches are reported as discrepancies
     in machine-readable form, not failures.
     """
-    tasks = []
-    index = 0
+    cases = []
+    discrepancies = []
     k_values = (2, 3)
     for graph in all_graphs(vertex_count):
         for k in k_values:
-            tasks.append((index, frozenset(graph.edges), vertex_count, k))
-            index += 1
-    cases = _run_cases(_clique_experiment_case, tasks, jobs)
-    discrepancies = [
-        {
-            "edges": sorted(list(e) for e in tasks[c.index][1]),
-            "k": tasks[c.index][3],
-            "detail": c.detail,
-        }
-        for c in cases
-        if c.status == "discrepancy"
-    ]
+            case = _clique_experiment_case(len(cases), graph, k)
+            cases.append(case)
+            if case.status == "discrepancy":
+                discrepancies.append(
+                    {"edges": sorted(list(e) for e in graph.edges), "k": k, "detail": case.detail}
+                )
     pentagon = Graph.make(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     pentagon_case = {
         "edges": sorted(list(e) for e in pentagon.edges),
@@ -459,8 +407,7 @@ def run_clique_experiment(
 
 # --- circuit suite ---------------------------------------------------------------
 
-def _circuit_case(task) -> CaseResult:
-    index, circuit = task
+def _circuit_case(index, circuit) -> CaseResult:
     for size in range(len(circuit.inputs) + 1):
         for chosen in itertools.combinations(sorted(circuit.inputs), size):
             direct = circuit_eval(circuit, frozenset(chosen))
@@ -475,10 +422,9 @@ def _circuit_case(task) -> CaseResult:
     return CaseResult(index, f"circuit gates={circuit.gate_count} inputs={sorted(circuit.inputs)}", "pass")
 
 
-def run_circuit_suite(seed: int, circuits: int = 500, jobs: int = 1) -> Report:
+def run_circuit_suite(seed: int, circuits: int = 500) -> Report:
     """Bottom-up circuit evaluation versus exhaustive proof-tree search."""
     max_gates = 6
     rng = SplitMix64(seed)
-    tasks = [(i, random_circuit(rng, max_gates)) for i in range(circuits)]
-    cases = _run_cases(_circuit_case, tasks, jobs)
+    cases = [_circuit_case(i, random_circuit(rng, max_gates)) for i in range(circuits)]
     return Report("circuit", cases, {"seed": seed, "circuits": circuits, "max_gates": max_gates})

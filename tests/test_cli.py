@@ -1,7 +1,6 @@
 import io
 import itertools
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -350,10 +349,10 @@ class TestVerify:
         # the suites' size limits are left at their defaults
         args = build_parser().parse_args(["verify", "closure"])
         assert sorted(set(vars(args)) - {"command", "func", "suite"}) == [
-            "cases", "jobs", "json", "out", "seed", "vertices",
+            "cases", "json", "out", "seed", "vertices",
         ]
 
-    @pytest.mark.parametrize("flag, value", [("--cases", "-2"), ("--vertices", "-1"), ("--jobs", "0")])
+    @pytest.mark.parametrize("flag, value", [("--cases", "-2"), ("--vertices", "-1")])
     def test_bad_counts_are_exit_two(self, capsys, flag, value):
         assert main(["verify", "closure", flag, value]) == 2
         captured = capsys.readouterr()
@@ -422,39 +421,6 @@ class TestVerify:
         assert payload["summary"]["fail"] == 0
         assert payload["summary"]["discrepancies"] >= 1  # four-vertex paths already pad teams
 
-    def test_jobs_flag_produces_same_report(self, capsys):
-        code = main(["verify", "circuit", "--seed", "8", "--cases", "12", "--json"])
-        assert code == 0
-        serial = json.loads(capsys.readouterr().out)
-        code = main(["verify", "circuit", "--seed", "8", "--cases", "12", "--jobs", "2", "--json"])
-        assert code == 0
-        parallel = json.loads(capsys.readouterr().out)
-        assert serial["cases"] == parallel["cases"]
-
-    def test_jobs_capped_at_cpu_count(self, monkeypatch, capsys):
-        # the recorder stands in for the pool, so no worker process starts
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, runner, tasks, chunksize=1):
-                return [runner(task) for task in tasks]
-
-        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        code = main(["verify", "circuit", "--seed", "8", "--cases", "12", "--jobs", str(10**6), "--json"])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
-        assert sizes == [3]
-
 
 def test_bench_is_an_unknown_subcommand(capsys):
     # bench/run.py is the timing harness; the command line has no bench loop
@@ -462,3 +428,11 @@ def test_bench_is_an_unknown_subcommand(capsys):
         main(["bench", "domset"])
     assert exit_info.value.code == 2
     assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def test_jobs_is_an_unknown_option(capsys):
+    # every verify suite runs its cases in this process; there is no worker pool to size
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "closure", "--jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err

@@ -9,6 +9,7 @@ import pytest
 
 from team_reference import satisfies
 from teamcheck.corpus import (
+    CORPUS_VOCABULARY,
     SplitMix64,
     _random_quantifier_free,
     _random_team_atom,
@@ -684,6 +685,17 @@ class TestCheckSentence:
     def test_rejects_free_variables(self):
         with pytest.raises(EvaluationError):
             check_sentence(graph_structure(2, []), parse("E(x,x)"))
+
+    def test_keeps_no_row_set_memos_after_the_call(self):
+        # read beside the plan, not through ``bound``, which empties them at hand-out
+        structure = Structure(CORPUS_VOCABULARY, 3, {"E": {(0, 1), (1, 2)}, "U": {(0,), (1,)}})
+        sentence = parse("forall u forall v ((indep(;u;v) & U(u)) | (dep(;u) & E(u,v)))", CORPUS_VOCABULARY)
+        assert check_sentence(structure, sentence) is False
+        binding = sentence.__dict__["bindings"][(), LAX][structure]
+        assert binding.memos and not any(binding.memos)
+        # the call did fill them
+        binding.root(frozenset({()}))
+        assert sum(map(len, binding.memos)) > 0
 
 
 class TestAgainstNaiveReference:

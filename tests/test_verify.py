@@ -5,20 +5,19 @@ what one case checks, how it is named, and how the suites lay cases out.
 """
 
 import json
-import multiprocessing
 
 import pytest
 
 from teamcheck import verify
 from teamcheck.formulas import parse
 from teamcheck.model import Team, parse_structure
+from teamcheck.reductions import Graph
 from teamcheck.verify import (
     CaseResult,
     Report,
     _closure_case,
     _graph_case,
     _inclusion_case,
-    _run_cases,
     _subteams,
     _wd_clique_case,
     run_clique_experiment,
@@ -27,7 +26,7 @@ from teamcheck.verify import (
 
 PATH3 = parse_structure("domain 3\nrel E/2 : (0,1) (1,2)\n")
 SWAP = Team.make(["x", "y"], [(0, 1), (1, 0)])
-TRIANGLE = frozenset({(0, 1), (0, 2), (1, 2)})
+TRIANGLE = Graph.make(3, [(0, 1), (0, 2), (1, 2)])
 
 
 class TestSubteams:
@@ -72,54 +71,54 @@ class TestClosureCase:
     )
     def test_passes_with_an_extra_column(self, fragment, text):
         team = Team.make(["w", "x", "y"], [(0, 0, 1), (1, 0, 1), (2, 1, 2)])
-        case = _closure_case((7, fragment, PATH3, team, Team.empty(["w", "x", "y"]), parse(text)))
+        case = _closure_case(7, fragment, PATH3, team, Team.empty(["w", "x", "y"]), parse(text))
         assert case == CaseResult(7, f"{fragment} n=3 team=3", "pass", "")
 
     def test_locality_projects_onto_free_variables(self, evaluated_teams):
         # the extra column w is dropped and the rows it told apart merge
         team = Team.make(["w", "x", "y"], [(0, 0, 1), (1, 0, 1), (2, 1, 2)])
-        _closure_case((0, "FO(dep)", PATH3, team, team, parse("dep(x;y)")))
+        _closure_case(0, "FO(dep)", PATH3, team, team, parse("dep(x;y)"))
         assert Team.make(["x", "y"], [(0, 1), (1, 2)]) in evaluated_teams
 
     def test_locality_keeps_a_team_over_exactly_the_free_variables(self, evaluated_teams):
-        _closure_case((0, "FO(inc)", PATH3, SWAP, SWAP, parse("inc(x;y)")))
+        _closure_case(0, "FO(inc)", PATH3, SWAP, SWAP, parse("inc(x;y)"))
         # the whole team, the empty team, the projection (the same team again)
         assert evaluated_teams[:3] == [SWAP, Team.empty(["x", "y"]), SWAP]
 
     def test_downward_closure_violation_is_reported(self):
         # inclusion is not downward closed: {x=0 y=1} alone fails inc(x;y)
-        case = _closure_case((3, "FO(dep)", PATH3, SWAP, SWAP, parse("inc(x;y)")))
+        case = _closure_case(3, "FO(dep)", PATH3, SWAP, SWAP, parse("inc(x;y)"))
         assert (case.status, case.detail) == ("fail", "downward-closure")
 
     def test_inclusion_is_checked_for_union_closure_only(self):
-        case = _closure_case((3, "FO(inc)", PATH3, SWAP, SWAP, parse("inc(x;y)")))
+        case = _closure_case(3, "FO(inc)", PATH3, SWAP, SWAP, parse("inc(x;y)"))
         assert case.status == "pass"
 
 
 class TestInclusionCase:
     def test_fixpoint_agrees_on_a_swap_team(self):
-        case = _inclusion_case((4, PATH3, SWAP, "inc(x;y)"))
+        case = _inclusion_case(4, PATH3, SWAP, "inc(x;y)")
         assert case == CaseResult(4, "inc(x;y) n=3 team=2", "pass", "")
 
 
 class TestGraphCases:
     @pytest.mark.parametrize("problem", ["domset", "indset"])
     def test_names_keep_the_problem(self, problem):
-        case = _graph_case((1, problem, frozenset({(0, 1)}), 2, 1))
+        case = _graph_case(1, problem, Graph.make(2, [(0, 1)]), 1)
         assert case == CaseResult(1, f"{problem} edges=[(0, 1)] k=1", "pass", "")
 
     @pytest.mark.parametrize("problem, k", [("domset", 1), ("indset", 2)])
     def test_triangle(self, problem, k):
         # one vertex dominates a triangle; no two of its vertices are independent
-        case = _graph_case((0, problem, TRIANGLE, 3, k))
+        case = _graph_case(0, problem, TRIANGLE, k)
         assert case.status == "pass"
 
     def test_clique_is_not_a_graph_case(self):
         with pytest.raises(KeyError):
-            _graph_case((0, "clique", TRIANGLE, 3, 3))
+            _graph_case(0, "clique", TRIANGLE, 3)
 
     def test_wd_clique_case(self):
-        case = _wd_clique_case((2, TRIANGLE, 3, 3))
+        case = _wd_clique_case(2, TRIANGLE, 3)
         assert case == CaseResult(2, "wd-clique edges=[(0, 1), (0, 2), (1, 2)] k=3", "pass", "")
 
 
@@ -178,11 +177,3 @@ class TestReport:
 
     def test_discrepancies_alone_are_ok(self):
         assert Report("demo", [CaseResult(0, "c", "discrepancy")]).ok()
-
-
-def test_one_job_starts_no_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    assert _run_cases(lambda task: task * 2, [3, 1, 2], 1) == [6, 2, 4]
