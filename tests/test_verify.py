@@ -4,6 +4,7 @@ The acceptance tests run the suites at their pinned scale; these tests pin
 what one case checks, how it is named, and how the suites lay cases out.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -20,7 +21,10 @@ from teamcheck.verify import (
     _inclusion_case,
     _subteams,
     _wd_clique_case,
+    run_circuit_suite,
     run_clique_experiment,
+    run_closure_suite,
+    run_inclusion_suite,
     run_reductions_suite,
 )
 
@@ -148,6 +152,43 @@ class TestCliqueExperiment:
         assert report.ok()
         assert report.metadata["discrepancies"] == []
         assert report.metadata["pentagon_check"]["satisfiable_without_clique"] is True
+
+    def test_each_discrepancy_is_recorded_with_its_case(self):
+        # four-vertex paths already pad teams, so some k=3 cases are discrepancies
+        report = run_clique_experiment(4)
+        flagged = [c for c in report.cases if c.status == "discrepancy"]
+        recorded = report.metadata["discrepancies"]
+        assert flagged and len(recorded) == len(flagged)
+        for case, entry in zip(flagged, recorded):
+            edges = [tuple(e) for e in entry["edges"]]
+            assert case.name == f"clique edges={edges} k={entry['k']}"
+            assert case.detail == entry["detail"]
+
+
+class TestPinnedReports:
+    """Each suite draws its inputs and numbers its cases as when cases went to a pool.
+
+    The digests are of ``Report.to_json()``, taken before the suites became serial loops.
+    """
+
+    @pytest.mark.parametrize(
+        "run, digest",
+        [
+            pytest.param(lambda: run_closure_suite(7, cases_per_fragment=3), "cd6cbf833abc3e3d", id="closure"),
+            pytest.param(lambda: run_circuit_suite(8, circuits=12), "adf10b26cc4df587", id="circuit"),
+            pytest.param(
+                lambda: run_reductions_suite(7, vertex_count=3, wsat_samples=3, theta_samples=4),
+                "a7a2021d3ebf780f",
+                id="reductions",
+            ),
+            pytest.param(lambda: run_inclusion_suite(7), "173de2fecfa47756", id="inclusion"),
+            pytest.param(lambda: run_clique_experiment(4), "950f8617ed636225", id="clique-experiment"),
+        ],
+    )
+    def test_report_digest(self, run, digest):
+        report = run()
+        assert [c.index for c in report.cases] == list(range(len(report.cases)))
+        assert hashlib.sha256(report.to_json().encode()).hexdigest()[:16] == digest
 
 
 class TestReport:
