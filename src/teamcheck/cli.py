@@ -33,8 +33,9 @@ from .verify import (
     run_circuit_suite,
     run_clique_experiment,
     run_closure_suite,
-    run_inclusion_suite,
-    run_reductions_suite,
+    run_reductions_and_inclusion,
+    summary_line,
+    write_report,
 )
 
 
@@ -169,34 +170,22 @@ def cmd_verify(args) -> int:
             raise TeamcheckError(f"{flag} must be at least 0, got {value}")
     seed = args.seed if args.seed is not None else _default_seed()
     # opened before the suite runs, so a report path that cannot be written costs no cases
-    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext() as handle:
+    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as handle:
         if args.suite == "closure":
-            report = run_closure_suite(seed, cases_per_fragment=args.cases)
+            cases = run_closure_suite(seed, cases_per_fragment=args.cases)
         elif args.suite == "reductions":
-            report = run_reductions_suite(
-                seed,
-                vertex_count=args.vertices,
-                wsat_samples=args.cases,
-                theta_samples=args.cases,
+            cases = run_reductions_and_inclusion(
+                seed, vertex_count=args.vertices, wsat_samples=args.cases, theta_samples=args.cases
             )
-            inclusion = run_inclusion_suite(seed)
-            report.cases += [
-                type(c)(index=len(report.cases) + i, name=c.name, status=c.status, detail=c.detail)
-                for i, c in enumerate(inclusion.cases)
-            ]
-            report.metadata["inclusion_cases"] = len(inclusion.cases)
         elif args.suite == "clique-experiment":
-            report = run_clique_experiment(vertex_count=args.vertices)
+            cases = run_clique_experiment(vertex_count=args.vertices)
         else:
-            report = run_circuit_suite(seed, circuits=args.cases)
-
-        text = report.to_json() if args.json else "\n".join(report.lines())
-        if handle is None:
-            print(text)
-        else:
-            handle.write(text + "\n")
-            print(report.summary())
-    return 0 if report.ok() else 1
+            cases = run_circuit_suite(seed, circuits=args.cases)
+        counts = write_report(handle, args.suite, cases, args.json)
+        handle.write("\n")
+    if args.out:
+        print(summary_line(args.suite, counts))
+    return 0 if counts["fail"] == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

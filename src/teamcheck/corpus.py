@@ -214,26 +214,6 @@ def random_formula(
     return _random_quantifier_free(rng, fragment, list(free_pool))
 
 
-def random_sentence(
-    rng: random.Random,
-    fragment: str,
-    domain_size: int,
-) -> Formula:
-    """A budgeted random sentence (all variables quantified)."""
-    for _ in range(300):
-        prefix = rng.choice([shape for shape in _PREFIX_SHAPES if shape])
-        bound = ["u", "v"][: len(prefix)]
-        body = _random_quantifier_free(rng, fragment, bound)
-        formula = body
-        for quantifier, var in zip(reversed(prefix), reversed(bound)):
-            formula = Exists(var, formula) if quantifier == "exists" else Forall(var, formula)
-        if free_vars(formula):
-            continue
-        if search_cost(formula, 1, domain_size) <= DEFAULT_BUDGET:
-            return formula
-    return Forall("u", Eq(Var("u"), Var("u")))
-
-
 # --- propositional corpora --------------------------------------------------------
 
 def random_layered_prop(

@@ -160,11 +160,6 @@ class Team:
     def empty(cls, variables: Iterable[str] = ()) -> "Team":
         return cls.make(variables, ())
 
-    @classmethod
-    def singleton_empty_assignment(cls) -> "Team":
-        """The one-row team over the empty domain, used for sentences."""
-        return cls((), frozenset({()}))
-
     def __len__(self) -> int:
         return len(self.rows)
 

@@ -126,6 +126,8 @@ def render_graph(graph: Graph) -> str:
 
 def graph_brute(problem: str, graph: Graph, k: int) -> bool:
     """Exhaustive check for clique / indset / domset solutions of size exactly k."""
+    if problem not in ("clique", "indset", "domset"):
+        raise ValueError(f"unknown problem {problem!r}")
     if k < 0:
         raise ValueError("solution size must be nonnegative")
     if k > graph.vertex_count:
@@ -141,8 +143,6 @@ def graph_brute(problem: str, graph: Graph, k: int) -> bool:
             chosen = set(subset)
             if all(v in chosen or chosen & graph.neighbours(v) for v in range(graph.vertex_count)):
                 return True
-        else:
-            raise ValueError(f"unknown problem {problem!r}")
     return False
 
 

@@ -1,20 +1,24 @@
 """The suites ``teamcheck verify`` runs, each within fixed size limits.
 
 Closure properties, the inclusion fixpoint grid, reduction faithfulness,
-the clique experiment and circuit proof trees each produce a line-per-case
-report plus pass/fail/discrepancy counts.  Failures mean a checked invariant
-is violated; discrepancies are recorded observations (the clique experiment
-reports them without failing).  Each suite runs its cases in this process,
-one after another, as it draws them; a case's index is its position in the
-report.
+the clique experiment and circuit proof trees each check one case at a
+time.  Failures mean a checked invariant is violated; discrepancies are
+recorded observations (the clique experiment reports them without
+failing).  Each suite is a generator: it yields its cases in this process,
+one after another, as it draws them, and returns its metadata once the
+last case is out.  ``write_report`` numbers the cases as it writes them,
+so a case's index is its position in the report, and it keeps only
+running counts: the report's memory does not grow with its cases, and a
+suite that stops early leaves the cases written so far.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Iterator
+from collections import Counter
+from dataclasses import dataclass
+from typing import Generator, Iterator, TextIO
 
 from .corpus import (
     SplitMix64,
@@ -49,68 +53,60 @@ from .solver import WdFormula, compile_check, wd_solve, wt_solve
 
 @dataclass(frozen=True)
 class CaseResult:
-    index: int
     name: str
     status: str  # pass | fail | discrepancy
     detail: str = ""
 
 
-@dataclass
-class Report:
-    suite: str
-    cases: list[CaseResult]
-    metadata: dict = field(default_factory=dict)
+def summary_line(suite: str, counts: dict) -> str:
+    return (
+        f"summary: suite={suite} cases={counts['cases']} pass={counts['pass']} "
+        f"fail={counts['fail']} discrepancies={counts['discrepancies']}"
+    )
 
-    @property
-    def passed(self) -> int:
-        return sum(1 for c in self.cases if c.status == "pass")
 
-    @property
-    def failed(self) -> int:
-        return sum(1 for c in self.cases if c.status == "fail")
+def write_report(
+    handle: TextIO, suite: str, cases: Generator[CaseResult, None, dict], as_json: bool
+) -> dict:
+    """Write each case to ``handle`` as it is drawn, then the summary; return the counts.
 
-    @property
-    def discrepancies(self) -> int:
-        return sum(1 for c in self.cases if c.status == "discrepancy")
-
-    def ok(self) -> bool:
-        return self.failed == 0
-
-    def summary(self) -> str:
-        return (
-            f"summary: suite={self.suite} cases={len(self.cases)} "
-            f"pass={self.passed} fail={self.failed} discrepancies={self.discrepancies}"
-        )
-
-    def lines(self) -> list[str]:
-        out = []
-        for case in self.cases:
-            line = f"{self.suite} {case.index:05d} {case.status.upper()} {case.name}"
-            if case.detail:
-                line += f" :: {case.detail}"
-            out.append(line)
-        out.append(self.summary())
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "suite": self.suite,
-                "cases": [
-                    {"index": c.index, "name": c.name, "status": c.status, "detail": c.detail}
-                    for c in self.cases
-                ],
-                "summary": {
-                    "cases": len(self.cases),
-                    "pass": self.passed,
-                    "fail": self.failed,
-                    "discrepancies": self.discrepancies,
-                },
-                "metadata": self.metadata,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    The text report is one line per case, then the summary line.  The JSON
+    report has the bytes of ``json.dumps(..., indent=2, sort_keys=True)``
+    on the whole report: ``"cases"`` sorts first, so the metadata, which a
+    suite returns only after its last case, still comes after them.  Either
+    report ends without a newline.
+    """
+    statuses = Counter()
+    if as_json:
+        handle.write('{\n  "cases": [')
+    for index in itertools.count():
+        try:
+            case = next(cases)
+        except StopIteration as end:
+            metadata = end.value
+            break
+        statuses[case.status] += 1
+        if as_json:
+            handle.write(
+                f'{"," if index else ""}\n    {{\n      "detail": {json.dumps(case.detail)},\n'
+                f'      "index": {index},\n      "name": {json.dumps(case.name)},\n'
+                f'      "status": {json.dumps(case.status)}\n    }}'
+            )
+        else:
+            detail = f" :: {case.detail}" if case.detail else ""
+            handle.write(f"{suite} {index:05d} {case.status.upper()} {case.name}{detail}\n")
+    counts = {
+        "cases": index,
+        "pass": statuses["pass"],
+        "fail": statuses["fail"],
+        "discrepancies": statuses["discrepancy"],
+    }
+    if as_json:
+        rest = json.dumps({"metadata": metadata, "suite": suite, "summary": counts}, indent=2, sort_keys=True)
+        handle.write(("\n  ]," if counts["cases"] else "],") + rest[1:])
+    else:
+        handle.write(summary_line(suite, counts))
+    return counts
 
 
 # --- closure suite -----------------------------------------------------------
@@ -125,7 +121,7 @@ def _subteams(team: Team) -> Iterator[Team]:
         yield Team(team.variables, frozenset(r for i, r in enumerate(rows) if mask >> i & 1))
 
 
-def _closure_case(index, fragment, structure, team, second_team, formula) -> CaseResult:
+def _closure_case(fragment, structure, team, second_team, formula) -> CaseResult:
     violations: list[str] = []
 
     satisfied = eval_team(structure, team, formula)
@@ -173,14 +169,13 @@ def _closure_case(index, fragment, structure, team, second_team, formula) -> Cas
 
     status = "pass" if not violations else "fail"
     name = f"{fragment} n={structure.domain_size} team={len(team)}"
-    return CaseResult(index, name, status, ",".join(violations))
+    return CaseResult(name, status, ",".join(violations))
 
 
-def run_closure_suite(seed: int, cases_per_fragment: int = 500) -> Report:
+def run_closure_suite(seed: int, cases_per_fragment: int = 500) -> Generator[CaseResult, None, dict]:
     """Empty-team, locality, flatness, downward/union closure, strict-lax agreement."""
     max_domain = max_team_rows = 4
     rng = SplitMix64(seed)
-    cases = []
     for fragment in _FRAGMENTS:
         for _ in range(cases_per_fragment):
             structure = random_structure(rng, max_domain)
@@ -189,8 +184,8 @@ def run_closure_suite(seed: int, cases_per_fragment: int = 500) -> Report:
             domain = sorted(free_vars(formula) | ({"w"} if with_extra else set()))
             team = random_team(rng, structure, domain, max_team_rows)
             second = random_team(rng, structure, domain, max_team_rows)
-            cases.append(_closure_case(len(cases), fragment, structure, team, second, formula))
-    return Report("closure", cases, {"seed": seed, "cases_per_fragment": cases_per_fragment})
+            yield _closure_case(fragment, structure, team, second, formula)
+    return {"seed": seed, "cases_per_fragment": cases_per_fragment}
 
 
 # --- inclusion fixpoint suite ---------------------------------------------------
@@ -213,7 +208,7 @@ INCLUSION_TEMPLATES: tuple[tuple[str, int], ...] = (
 )
 
 
-def _inclusion_case(index, structure, team, text) -> CaseResult:
+def _inclusion_case(structure, team, text) -> CaseResult:
     formula = parse(text, structure.vocabulary)
     fixpoint = eval_inclusion(structure, team, formula)
     generic = eval_team(structure, team, formula)
@@ -225,14 +220,13 @@ def _inclusion_case(index, structure, team, text) -> CaseResult:
     if union != maximal.rows:
         problems.append("max-subteam differs from union of satisfying subteams")
     status = "pass" if not problems else "fail"
-    return CaseResult(index, f"{text} n={structure.domain_size} team={len(team)}", status, "; ".join(problems))
+    return CaseResult(f"{text} n={structure.domain_size} team={len(team)}", status, "; ".join(problems))
 
 
-def run_inclusion_suite(seed: int) -> Report:
+def run_inclusion_suite(seed: int) -> Generator[CaseResult, None, dict]:
     """Fixpoint evaluation versus the exhaustive evaluator and subteam enumeration."""
     max_team_rows = 4
     rng = SplitMix64(seed)
-    cases = []
     for text, template_max_n in INCLUSION_TEMPLATES:
         formula = parse(text)
         variables = tuple(sorted(free_vars(formula)))
@@ -243,8 +237,8 @@ def run_inclusion_suite(seed: int) -> Report:
                 for size in range(0, min(max_team_rows, len(rows)) + 1):
                     for combo in itertools.combinations(range(len(rows)), size):
                         team = Team(variables, frozenset(rows[i] for i in combo))
-                        cases.append(_inclusion_case(len(cases), structure, team, text))
-    return Report("inclusion", cases, {"seed": seed, "templates": len(INCLUSION_TEMPLATES)})
+                        yield _inclusion_case(structure, team, text)
+    return {"seed": seed, "templates": len(INCLUSION_TEMPLATES)}
 
 
 # --- reductions suite ------------------------------------------------------------
@@ -252,11 +246,11 @@ def run_inclusion_suite(seed: int) -> Report:
 _GRAPH_ENCODERS = {"domset": encode_domset, "indset": encode_indset}
 
 
-def _graph_case(index, problem, graph, k) -> CaseResult:
+def _graph_case(problem, graph, k) -> CaseResult:
     expected = graph_brute(problem, graph, k)
     solved = wt_solve(_GRAPH_ENCODERS[problem](graph, k)) is not None
     status = "pass" if solved == expected else "fail"
-    return CaseResult(index, f"{problem} edges={sorted(graph.edges)} k={k}", status,
+    return CaseResult(f"{problem} edges={sorted(graph.edges)} k={k}", status,
                       "" if status == "pass" else f"brute={expected} solver={solved}")
 
 
@@ -267,26 +261,26 @@ def clique_wd_formula() -> WdFormula:
     return WdFormula(parse(CLIQUE_WD_TEXT), "S", 1)
 
 
-def _wd_clique_case(index, graph, k) -> CaseResult:
+def _wd_clique_case(graph, k) -> CaseResult:
     structure = graph_structure(graph)
     expected = graph_brute("clique", graph, k)
     solved = wd_solve(structure, clique_wd_formula(), k) is not None
     status = "pass" if solved == expected else "fail"
-    return CaseResult(index, f"wd-clique edges={sorted(graph.edges)} k={k}", status,
+    return CaseResult(f"wd-clique edges={sorted(graph.edges)} k={k}", status,
                       "" if status == "pass" else f"brute={expected} wd={solved}")
 
 
-def _wsat_inclusion_case(index, sample, formula_blob, k) -> CaseResult:
+def _wsat_inclusion_case(sample, formula_blob, k) -> CaseResult:
     formula = parse_prop(formula_blob)
     expected = wsat_brute(formula, k)
     instance, depth = encode_wsat(formula, k)
     witness = wt_solve(instance)
     status = "pass" if (witness is not None) == expected else "fail"
-    return CaseResult(index, f"wsat-inc #{sample} {formula_blob!r} k={k} depth={depth}", status,
+    return CaseResult(f"wsat-inc #{sample} {formula_blob!r} k={k} depth={depth}", status,
                       "" if status == "pass" else f"brute={expected} solver={witness is not None}")
 
 
-def _theta_case(index, formula_blob, depth, negative, k) -> CaseResult:
+def _theta_case(formula_blob, depth, negative, k) -> CaseResult:
     formula = parse_prop(formula_blob)
     expected = wsat_brute(formula, k)
     structure = build_syntax_circuit(formula, depth)
@@ -294,7 +288,7 @@ def _theta_case(index, formula_blob, depth, negative, k) -> CaseResult:
     solved = wd_solve(structure, wd, k) is not None
     status = "pass" if solved == expected else "fail"
     kind = "negative" if negative else "positive"
-    return CaseResult(index, f"theta-{kind} depth={depth} {formula_blob!r} k={k}", status,
+    return CaseResult(f"theta-{kind} depth={depth} {formula_blob!r} k={k}", status,
                       "" if status == "pass" else f"brute={expected} wd={solved}")
 
 
@@ -303,86 +297,90 @@ def run_reductions_suite(
     vertex_count: int = 5,
     wsat_samples: int = 200,
     theta_samples: int = 200,
-) -> Report:
+) -> Generator[CaseResult, None, dict]:
     """Exhaustive graph-reduction faithfulness plus sampled level-formula checks."""
     rng = SplitMix64(seed)
     ks = (1, 2, 3)
-    graphs = list(all_graphs(vertex_count))
 
-    cases = []
     for problem in _GRAPH_ENCODERS:
-        for graph in graphs:
+        for graph in all_graphs(vertex_count):
             for k in ks:
-                cases.append(_graph_case(len(cases), problem, graph, k))
-    for graph in graphs:
+                yield _graph_case(problem, graph, k)
+    for graph in all_graphs(vertex_count):
         for k in range(0, max(ks) + 1):
-            cases.append(_wd_clique_case(len(cases), graph, k))
+            yield _wd_clique_case(graph, k)
 
     for sample in range(wsat_samples):
         formula = random_layered_prop(rng, 2, positive=True)
         blob = render_prop(formula)
         for k in range(1, len(prop_variables(formula)) + 1):
-            cases.append(_wsat_inclusion_case(len(cases), sample, blob, k))
+            yield _wsat_inclusion_case(sample, blob, k)
 
     for depth in (1, 3):
         for _ in range(theta_samples // 2):
             formula = random_layered_prop(rng, depth, positive=False)
             blob = render_prop(formula)
             for k in range(1, len(prop_variables(formula)) + 1):
-                cases.append(_theta_case(len(cases), blob, depth, True, k))
+                yield _theta_case(blob, depth, True, k)
     for _ in range(theta_samples // 4):
         formula = random_layered_prop(rng, 2, positive=True)
         blob = render_prop(formula)
         for k in range(1, len(prop_variables(formula)) + 1):
-            cases.append(_theta_case(len(cases), blob, 2, False, k))
+            yield _theta_case(blob, 2, False, k)
 
-    return Report(
-        "reductions",
-        cases,
-        {
-            "seed": seed,
-            "vertex_count": vertex_count,
-            "k_values": list(ks),
-            "wsat_samples": wsat_samples,
-            "theta_samples": theta_samples,
-        },
-    )
+    return {
+        "seed": seed,
+        "vertex_count": vertex_count,
+        "k_values": list(ks),
+        "wsat_samples": wsat_samples,
+        "theta_samples": theta_samples,
+    }
+
+
+def run_reductions_and_inclusion(
+    seed: int, vertex_count: int, wsat_samples: int, theta_samples: int
+) -> Generator[CaseResult, None, dict]:
+    """The report of ``verify reductions``: the reductions suite, then the inclusion grid."""
+    metadata = yield from run_reductions_suite(seed, vertex_count, wsat_samples, theta_samples)
+    metadata["inclusion_cases"] = 0
+    for case in run_inclusion_suite(seed):
+        metadata["inclusion_cases"] += 1
+        yield case
+    return metadata
 
 
 # --- clique experiment -----------------------------------------------------------
 
-def _clique_experiment_case(index, graph, k) -> CaseResult:
+def _clique_experiment_case(graph, k) -> CaseResult:
     name = f"clique edges={sorted(graph.edges)} k={k}"
     expected = graph_brute("clique", graph, k)
     instance = encode_clique(graph, k)
     witness = wt_solve(instance)
     solved = witness is not None
     if expected and not solved:
-        return CaseResult(index, name, "fail", "forward direction broken")
+        return CaseResult(name, "fail", "forward direction broken")
     if solved and not expected:
         return CaseResult(
-            index,
             name,
             "discrepancy",
             f"encoded instance satisfiable without a {k}-clique (team size {instance.k})",
         )
-    return CaseResult(index, name, "pass")
+    return CaseResult(name, "pass")
 
 
-def run_clique_experiment(vertex_count: int = 5) -> Report:
+def run_clique_experiment(vertex_count: int = 5) -> Generator[CaseResult, None, dict]:
     """Full-equivalence experiment for the clique encoding.
 
     The forward direction (clique implies satisfiable encoding) is an
     invariant; reverse-direction mismatches are reported as discrepancies
     in machine-readable form, not failures.
     """
-    cases = []
     discrepancies = []
     k_values = (2, 3)
     for graph in all_graphs(vertex_count):
         for k in k_values:
-            case = _clique_experiment_case(len(cases), graph, k)
-            cases.append(case)
+            case = _clique_experiment_case(graph, k)
+            yield case
             if case.status == "discrepancy":
                 discrepancies.append(
                     {"edges": sorted(list(e) for e in graph.edges), "k": k, "detail": case.detail}
@@ -393,38 +391,34 @@ def run_clique_experiment(vertex_count: int = 5) -> Report:
         "k": 3,
         "satisfiable_without_clique": wt_solve(encode_clique(pentagon, 3)) is not None,
     }
-    return Report(
-        "clique-experiment",
-        cases,
-        {
-            "vertex_count": vertex_count,
-            "k_values": list(k_values),
-            "discrepancies": discrepancies,
-            "pentagon_check": pentagon_case,
-        },
-    )
+    return {
+        "vertex_count": vertex_count,
+        "k_values": list(k_values),
+        "discrepancies": discrepancies,
+        "pentagon_check": pentagon_case,
+    }
 
 
 # --- circuit suite ---------------------------------------------------------------
 
-def _circuit_case(index, circuit) -> CaseResult:
+def _circuit_case(circuit) -> CaseResult:
     for size in range(len(circuit.inputs) + 1):
         for chosen in itertools.combinations(sorted(circuit.inputs), size):
             direct = circuit_eval(circuit, frozenset(chosen))
             via_tree = proof_tree_exists(circuit, frozenset(chosen))
             if direct != via_tree:
                 return CaseResult(
-                    index,
                     f"circuit gates={circuit.gate_count} inputs={sorted(circuit.inputs)}",
                     "fail",
                     f"inputs={chosen} eval={direct} proof-tree={via_tree}",
                 )
-    return CaseResult(index, f"circuit gates={circuit.gate_count} inputs={sorted(circuit.inputs)}", "pass")
+    return CaseResult(f"circuit gates={circuit.gate_count} inputs={sorted(circuit.inputs)}", "pass")
 
 
-def run_circuit_suite(seed: int, circuits: int = 500) -> Report:
+def run_circuit_suite(seed: int, circuits: int = 500) -> Generator[CaseResult, None, dict]:
     """Bottom-up circuit evaluation versus exhaustive proof-tree search."""
     max_gates = 6
     rng = SplitMix64(seed)
-    cases = [_circuit_case(i, random_circuit(rng, max_gates)) for i in range(circuits)]
-    return Report("circuit", cases, {"seed": seed, "circuits": circuits, "max_gates": max_gates})
+    for _ in range(circuits):
+        yield _circuit_case(random_circuit(rng, max_gates))
+    return {"seed": seed, "circuits": circuits, "max_gates": max_gates}

@@ -8,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from suite_cases import collect
 from teamcheck import cli
 from teamcheck.cli import build_parser, main
 from teamcheck.evaluator import eval_team
 from teamcheck.formulas import parse
 from teamcheck.model import Team, parse_structure, render_team
-from teamcheck.verify import run_reductions_suite
+from teamcheck.verify import CaseResult, run_reductions_suite
 
 K3_STRUCTURE = "domain 3\nrel E/2 : (0,1) (1,0) (1,2) (2,1) (0,2) (2,0)\n"
 CLIQUE_FORMULA = "E(x,y) & x!=y & inc(y;x) & inc(x;y)"
@@ -375,9 +376,9 @@ class TestVerify:
         code = main(["verify", "reductions", "--seed", "3", "--vertices", "2", "--cases", "1", "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        reductions = run_reductions_suite(3, vertex_count=2, wsat_samples=1, theta_samples=1)
+        reductions, _ = collect(run_reductions_suite(3, vertex_count=2, wsat_samples=1, theta_samples=1))
         cases = payload["cases"]
-        assert len(cases) == len(reductions.cases) + payload["metadata"]["inclusion_cases"]
+        assert len(cases) == len(reductions) + payload["metadata"]["inclusion_cases"]
         assert [case["index"] for case in cases] == list(range(len(cases)))
         assert payload["summary"]["fail"] == 0
 
@@ -410,6 +411,18 @@ class TestVerify:
         code = main(["verify", "circuit", "--cases", "3", "--out", str(tmp_path)])
         assert code == 2
         assert calls == []
+
+    @pytest.mark.parametrize("error, code", [(MemoryError, 3), (ValueError, 2)])
+    def test_a_suite_that_stops_leaves_the_cases_written_so_far(self, tmp_path, monkeypatch, capsys, error, code):
+        def stopping(*args, **kwargs):
+            yield CaseResult("first", "pass")
+            raise error("stopped")
+
+        monkeypatch.setattr(cli, "run_circuit_suite", stopping)
+        report_path = tmp_path / "circuit.txt"
+        assert main(["verify", "circuit", "--out", str(report_path)]) == code
+        assert report_path.read_text() == "circuit 00000 PASS first\n"
+        assert capsys.readouterr().out == ""
 
     def test_clique_experiment_reports_discrepancies_without_failing(self, tmp_path, capsys):
         report_path = tmp_path / "clique.json"

@@ -9,13 +9,13 @@ depend on set iteration order.
 
 import hashlib
 
+from random_sentences import random_sentence
 from teamcheck.corpus import (
     CORPUS_VOCABULARY,
     SplitMix64,
     random_circuit,
     random_formula,
     random_layered_prop,
-    random_sentence,
     random_structure,
     random_team,
 )

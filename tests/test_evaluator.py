@@ -675,7 +675,7 @@ class TestCheckSentence:
     def test_inclusion_sentence_matches_generic(self):
         structure = graph_structure(3, [(0, 1), (1, 2), (2, 0)])
         sentence = parse("forall x exists y (E(x,y) & inc(y;x))")
-        generic = eval_team(structure, Team.singleton_empty_assignment(), sentence)
+        generic = eval_team(structure, Team((), frozenset({()})), sentence)
         assert check_sentence(structure, sentence) == generic
 
     def test_dependence_sentence(self):

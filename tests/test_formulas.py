@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from random_sentences import random_sentence
 from teamcheck import formulas
 from teamcheck.errors import ParseError
 from teamcheck.formulas import (
@@ -28,7 +29,7 @@ from teamcheck.formulas import (
     parse,
     render,
 )
-from teamcheck.corpus import SplitMix64, random_formula, random_sentence
+from teamcheck.corpus import SplitMix64, random_formula
 from teamcheck.model import Vocabulary
 
 GRAPH_VOCAB = Vocabulary(relations=(("E", 2),))

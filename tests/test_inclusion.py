@@ -148,7 +148,7 @@ class TestEvalInclusion:
     def test_sentence_matches_generic_evaluator(self):
         structure = structure_with_edges(2, [(0, 1), (1, 0)])
         sentence = parse("forall x exists y (E(x,y) & inc(y;x))", GRAPH_VOCAB)
-        team = Team.singleton_empty_assignment()
+        team = Team((), frozenset({()}))
         assert eval_inclusion(structure, team, sentence) == eval_team(structure, team, sentence)
 
     def test_agrees_with_generic_on_exhaustive_small_grid(self):

@@ -118,7 +118,7 @@ class TestTeam:
 
 class TestDuplicate:
     def test_single_empty_assignment_expands_over_domain(self):
-        team = Team.singleton_empty_assignment()
+        team = Team((), frozenset({()}))
         out = duplicate(plain_structure(2), team, "x")
         assert out == Team.make(["x"], [(0,), (1,)])
 

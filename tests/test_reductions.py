@@ -74,6 +74,12 @@ class TestGraphBrute:
         assert graph_brute("indset", g, 0)
         assert not graph_brute("domset", g, 0)
 
+    @pytest.mark.parametrize("k", [0, 1, 5, -1])
+    def test_unknown_problem_is_rejected_at_any_size(self, k):
+        # k = 5 exceeds the vertex count and k = -1 is negative; neither hides the bad name
+        with pytest.raises(ValueError, match="unknown problem 'nonsense'"):
+            graph_brute("nonsense", Graph.make(2, []), k)
+
 
 class TestEncoders:
     def test_clique_formula_and_size(self):

@@ -286,7 +286,7 @@ class TestWtSolveSentence:
     def test_k_one_matches_truth(self):
         structure = structure_with_edges(2, [(0, 0), (1, 1)])
         sentence = parse("forall x E(x,x)", GRAPH_VOCAB)
-        assert wt_solve(WtInstance(structure, sentence, 1)) == Team.singleton_empty_assignment()
+        assert wt_solve(WtInstance(structure, sentence, 1)) == Team((), frozenset({()}))
         assert wt_solve(WtInstance(structure_with_edges(2, [(0, 0)]), sentence, 1)) is None
 
     def test_k_zero_always_holds(self):
@@ -302,7 +302,7 @@ class TestWtSolveSentence:
     def test_team_atom_sentences_match_the_one_row_team(self, text):
         structure = structure_with_edges(3, [(0, 1), (1, 2), (2, 0)])
         sentence = parse(text, GRAPH_VOCAB)
-        truth = eval_team(structure, Team.singleton_empty_assignment(), sentence)
+        truth = eval_team(structure, Team((), frozenset({()})), sentence)
         assert (wt_solve(WtInstance(structure, sentence, 1)) is not None) == truth
 
 
