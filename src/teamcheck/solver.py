@@ -4,10 +4,14 @@
 the formula's free variables; ``wd_solve`` for a size-``k`` interpretation
 of a free relation symbol that makes a sentence true.  Both run one
 search, ``first_colex``: candidates in colex order (rows as
-``canonical_rows`` yields them, tuples as ``itertools.product`` does), so
+``canonical_rows`` lists them, tuples as ``itertools.product`` does), so
 witnesses are reproducible, cut by a closure property of the check.  A cut
 removes only subtrees without solutions, so the witness is the one an
-unpruned search finds.
+unpruned search finds.  The search draws its items from a stream, item m
+only when m first becomes the top pick: every k-subset of the items below
+m comes before any that contains m in colex order (Knuth, TAOCP 4A,
+7.2.1.3).  Under the antitone cut an item that fails alone leaves the
+stream, since every set containing it fails too.
 
 ``solve_path`` is the one table from fragment to check and cut.  FO is
 decided by one ``row_test`` per row and FO(dep) by the strict evaluator;
@@ -20,11 +24,11 @@ its completions may use, or when that subset is smaller than ``k``.  The
 rest go to the generic lax evaluator, uncut.  ``compile_check`` binds the
 chosen check's plan (see ``evaluator``) once per structure, as a function
 of a bare row set.  ``wt_solve`` empties the check's row-set memos afterwards.
-``wt_solve`` first drops rows failing a top-level first-order conjunct
-(first-order formulas are flat, so a first-order formula is settled by
-counting rows) and binds the check only if ``k`` rows remain; a sentence
-is searched like any formula, over the one row ``()``.  ``check_sentence``
-and ``teamcheck check`` run the same check.
+``wt_solve`` streams the rows through the formula's top-level first-order
+conjuncts (first-order formulas are flat, so a first-order formula is
+settled by counting rows) and binds the check only once ``k`` rows have
+passed; a sentence is searched like any formula, over the one row ``()``.
+``check_sentence`` and ``teamcheck check`` run the same check.
 
 ``wd_solve`` binds the formula's row test once per search; candidates
 rebind its free symbol's cell.
@@ -37,7 +41,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator
 
 from .errors import EvaluationError
 from .evaluator import Binding, Rows, _Evaluator, bound, eval_fo_tarski, row_test
@@ -51,7 +56,7 @@ from .formulas import (
     subformulas,
 )
 from .inclusion import FIXPOINT
-from .model import Row, Structure, Team, canonical_rows
+from .model import Row, Structure, Team
 
 
 @dataclass(frozen=True)
@@ -85,13 +90,24 @@ class WdFormula:
                 out.append("negative")
         return tuple(out)
 
+    @cached_property
+    def cut(self) -> str | None:
+        """The ``first_colex`` cut the symbol's polarity allows, found once per formula."""
+        polarities = set(self.occurrences())
+        return "antitone" if polarities <= {"negative"} else "monotone" if polarities == {"positive"} else None
+
 
 def colex_subsets(
-    indices: int,
+    available: Callable[[int], bool],
     k: int,
     extendable: Callable[[tuple[int, ...]], bool] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Size-k index subsets in colex order, with optional partial-choice pruning.
+
+    ``available(m)`` says whether index ``m`` exists.  It is asked only of
+    top picks, in ascending order from ``k - 1``, and the indices below an
+    available one are taken to exist, so a caller can draw item ``m`` from
+    a stream on the first ask.
 
     Partial choices are passed largest-index-first; when ``extendable``
     returns false for a partial, every candidate extending it is skipped.
@@ -105,7 +121,7 @@ def colex_subsets(
         return
     picks: list[int] = []
     # the next pick ranges below the previous one, leaving room for the picks after it
-    ranges = [iter(range(k - 1, indices))]
+    ranges = [itertools.takewhile(available, itertools.count(k - 1))]
     while ranges:
         for m in ranges[-1]:
             partial = (*picks, m)
@@ -139,7 +155,7 @@ def solve_path(report: FragmentReport) -> tuple[str, str | None]:
 
 
 def first_colex(
-    items: Sequence,
+    items: Iterable,
     k: int,
     holds: Callable[[frozenset], bool],
     cut: str | None,
@@ -155,27 +171,51 @@ def first_colex(
     unions and true of the empty set, and ``maximal`` mapping a set to its
     largest subset that holds: that subset then contains every subset that
     holds, and every completion of the partial is such a subset.
+
+    ``items`` is drawn one item at a time, item m once m first becomes the
+    top pick: every k-subset of the items below m precedes, in colex order,
+    any subset that contains m.  The ``"monotone"`` and ``"union"`` pools
+    lie below the top pick, so they are drawn already.  Under
+    ``"antitone"`` an item whose one-item set fails leaves the stream: a
+    set that holds and contains it would make that one-item set hold.
+    Dropping items keeps the others' order, and colex order on the kept
+    items agrees with colex order on all of them, so the witness is the
+    same.  Every drawn item then holds alone: a one-item partial is not
+    tested again, and at ``k = 1`` the first drawn item is the witness.
     """
+    stream, drawn = iter(items), []
+
+    def available(m: int) -> bool:
+        if m < len(drawn):
+            return True
+        for item in stream:
+            drawn.append(item)
+            if m < len(drawn):
+                return True
+        return False
 
     def chosen(indices: tuple[int, ...]) -> frozenset:
-        return frozenset(items[i] for i in indices)
+        return frozenset(drawn[i] for i in indices)
 
     extendable = None
     if cut == "antitone":
+        stream = (item for item in stream if holds(frozenset((item,))))
+
         def extendable(partial: tuple[int, ...]) -> bool:
-            return holds(chosen(partial))
+            return len(partial) == 1 or holds(chosen(partial))
     elif cut == "monotone":
         def extendable(partial: tuple[int, ...]) -> bool:
             return holds(chosen(partial + tuple(range(partial[-1]))))
     elif cut == "union":
         def extendable(partial: tuple[int, ...]) -> bool:
             pool = maximal(chosen(partial + tuple(range(partial[-1]))))
-            return len(pool) >= k and pool.issuperset(map(items.__getitem__, partial))
+            return len(pool) >= k and pool.issuperset(map(drawn.__getitem__, partial))
 
+    settled = cut == "antitone" and k == 1
     # looked up as a module global, so a wrapper on ``colex_subsets`` sees every search
-    for combo in colex_subsets(len(items), k, extendable):
+    for combo in colex_subsets(available, k, extendable):
         candidate = chosen(combo)
-        if holds(candidate):
+        if settled or holds(candidate):
             return candidate
     return None
 
@@ -248,18 +288,18 @@ def wt_solve(instance: WtInstance) -> Team | None:
     path, cut = solve_path(classify(formula))
     if k == 0:
         return Team.empty(variables)
-    rows = canonical_rows(structure.domain_size, variables)
-
+    # ``canonical_rows``' order, drawn only as far as the search goes
+    rows: Iterator[Row] = itertools.product(range(structure.domain_size), repeat=len(variables))
     part = first_order_part(formula)
     if part is not None:
-        allowed = row_test(structure, part, variables)
-        rows = [row for row in rows if allowed(row)]
-    if len(rows) < k:
+        rows = filter(row_test(structure, part, variables), rows)
+    first = list(itertools.islice(rows, k))
+    if len(first) < k:
         return None
     # bound only now: searches settled by counting rows never pay for it
     check, binding, maximal = _bound_check(structure, formula, variables, path)
     try:
-        found = first_colex(rows, k, check, cut, maximal)
+        found = first_colex(itertools.chain(first, rows), k, check, cut, maximal)
     finally:
         binding.release()
     return None if found is None else Team(variables, found)
@@ -294,8 +334,7 @@ def wd_solve(structure: Structure, wd: WdFormula, k: int) -> frozenset[Row] | No
     if k < 0:
         raise ValueError("solution size must be nonnegative")
     _validate_wd(structure, wd)
-    universe = list(itertools.product(structure.elements, repeat=wd.arity))
-    if k > len(universe):
+    if k > structure.domain_size ** wd.arity:
         return None
     cell = [frozenset()]
     test = row_test(structure, wd.formula, (), (wd.symbol, cell))
@@ -304,6 +343,4 @@ def wd_solve(structure: Structure, wd: WdFormula, k: int) -> frozenset[Row] | No
         cell[0] = tuples
         return test(())
 
-    polarities = set(wd.occurrences())
-    cut = "antitone" if polarities <= {"negative"} else "monotone" if polarities == {"positive"} else None
-    return first_colex(universe, k, holds, cut)
+    return first_colex(itertools.product(structure.elements, repeat=wd.arity), k, holds, wd.cut)

@@ -181,6 +181,14 @@ class TestSolve:
         assert out[0] == "SAT"
         assert out[1] == "z=0"
 
+    def test_large_domain_draws_rows_as_needed(self, tmp_path, capsys):
+        # 4 * 10**8 rows over x, y; the search needs only the first
+        structure = tmp_path / "large.structure"
+        structure.write_text("domain 20000\n")
+        code = main(["solve", "--structure", str(structure), "--formula", "x=y", "-k", "1"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[:2] == ["SAT", "x=0 y=0"]
+
     def test_sentence_with_k_two_is_unsat(self, tmp_path, capsys):
         structure = tmp_path / "s.structure"
         structure.write_text("domain 2\nrel E/2 : (0,0) (1,1)\n")
@@ -238,8 +246,10 @@ class TestDeepFormulas:
 
 
 class TestOutOfMemory:
-    # Listing the 3000**2 rows of ``x=y`` takes about 640 MB; the child may
-    # map 256 MB, enough to import teamcheck but not to answer.
+    # Each side of this ``|`` is FO(dep) and FO(inc) at once, so the lax
+    # evaluator checks it; its cover search lists the 2**20 subteams of the
+    # 20 rows (the formula is false on this team), far more than the
+    # child's 256 MB, which suffice to import teamcheck.
     CHILD = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
@@ -248,12 +258,15 @@ class TestOutOfMemory:
     )
 
     def test_memory_error_exits_unknown(self, tmp_path):
-        structure = tmp_path / "large.structure"
-        structure.write_text("domain 3000\n")
+        structure = tmp_path / "domain20.structure"
+        structure.write_text("domain 20\n")
+        team = tmp_path / "rows20.team"
+        team.write_text("vars x\n" + "".join(f"x={value}\n" for value in range(20)))
+        formula = "(dep(;x) & inc(x;x)) | (dep(;x) & inc(x;x))"
         source = str(Path(cli.__file__).resolve().parents[1])
         environment = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
         child = subprocess.run(
-            [sys.executable, "-c", self.CHILD, "solve", "--structure", str(structure), "--formula", "x=y", "-k", "1"],
+            [sys.executable, "-c", self.CHILD, "check", "--structure", str(structure), "--team", str(team), "--formula", formula],
             capture_output=True,
             text=True,
             env=environment,

@@ -61,11 +61,11 @@ def _colex_reference(items, k):
 class TestColexOrder:
     def test_order_matches_reference(self):
         for n, k in [(5, 2), (5, 3), (4, 1), (4, 4)]:
-            got = [frozenset(c) for c in colex_subsets(n, k)]
+            got = [frozenset(c) for c in colex_subsets(range(n).__contains__, k)]
             assert got == _colex_reference(range(n), k)
 
     def test_prune_cuts_supersets(self):
-        seen = list(colex_subsets(4, 2, extendable=lambda partial: 3 not in partial))
+        seen = list(colex_subsets(range(4).__contains__, 2, extendable=lambda partial: 3 not in partial))
         assert all(3 not in combo for combo in seen)
         assert len(seen) == 3  # pairs within {0,1,2}
 
@@ -77,14 +77,14 @@ class TestColexOrder:
                 offered.append(partial)
                 return True
 
-            assert len(list(colex_subsets(n, k, extendable))) == math.comb(n, k)
+            assert len(list(colex_subsets(range(n).__contains__, k, extendable))) == math.comb(n, k)
             assert all(len(partial) < k for partial in offered)
             assert bool(offered) == (k >= 2)
 
     def test_more_picks_than_the_recursion_limit(self):
         # the first candidate: the k smallest indices, largest first, each partial offered once
         offered = []
-        first = next(colex_subsets(2000, 1500, lambda partial: offered.append(partial) or True))
+        first = next(colex_subsets(range(2000).__contains__, 1500, lambda partial: offered.append(partial) or True))
         assert first == tuple(range(1499, -1, -1))
         assert offered == [first[:n] for n in range(1, 1500)]
 
@@ -112,6 +112,56 @@ class TestFirstColex:
                 assert first_colex(items, k, holds, cut) == expected, (items, k)
                 outcomes.add(expected is None)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("cut", ["antitone", "monotone", None])
+    def test_draws_a_stream_only_up_to_the_witness(self, cut):
+        # Items are drawn in order and only as far as the witness's top item,
+        # dropped ones included; a search for k >= 1 that finds nothing draws
+        # them all, and one for k = 0 draws none.
+        rng = random.Random(f"first-colex-stream-{cut}")
+        for _ in range(300):
+            items = [f"i{j}" for j in range(rng.randint(0, 7))]
+            holds = _closed_family(rng, items, cut)
+            for k in range(len(items) + 2):
+                drawn = []
+
+                def stream():
+                    for item in items:
+                        drawn.append(item)
+                        yield item
+
+                found = first_colex(stream(), k, holds, cut)
+                assert found == next(filter(holds, _colex_reference(items, k)), None), (items, k)
+                if found is None:
+                    end = len(items) if k else 0
+                else:
+                    end = max((items.index(item) + 1 for item in found), default=0)
+                assert drawn == items[:end], (items, k)
+
+    def test_antitone_tests_each_item_alone_at_most_once(self):
+        rng = random.Random("first-colex-alone")
+        dropped = 0
+        for _ in range(300):
+            items = [f"i{j}" for j in range(rng.randint(0, 7))]
+            family = _closed_family(rng, items, "antitone")
+            for k in range(len(items) + 2):
+                calls = []
+
+                def holds(chosen):
+                    calls.append(chosen)
+                    return family(chosen)
+
+                expected = next(filter(family, _colex_reference(items, k)), None)
+                assert first_colex(items, k, holds, "antitone") == expected, (items, k)
+                singles = [chosen for chosen in calls if len(chosen) == 1]
+                assert len(singles) == len(set(singles)), (items, k)
+                failed = set()
+                for chosen in calls:
+                    assert not chosen & failed, (items, k, chosen)
+                    if len(chosen) == 1 and not family(chosen):
+                        failed |= chosen
+                dropped += len(failed)
+        assert dropped
 
     @pytest.mark.parametrize("text, path", [
         ("E(x,y) & exists z x=z", ("fo-counting", "antitone")),
@@ -167,11 +217,31 @@ def test_search_work_is_pinned(monkeypatch):
             for k in range(1, len(prop_variables(formula)) + 1):
                 wd_solve(structure, theta_formula(depth, negative=not positive), k)
     assert (dep_counts, inc_counts, clique_counts, tuple(counts)) == (
-        (295, 550, 241), (489, 635, 163), (359, 394, 85), (394, 1491, 1332)
+        (295, 394, 85), (489, 635, 163), (359, 394, 85), (36, 82, 38)
     )
 
 
 class TestWtSolve:
+    def test_rows_are_drawn_as_the_search_needs_them(self, monkeypatch):
+        # 10**12 rows over x, y; the pre-filter sees each drawn row once
+        drawn = []
+        original = solver.row_test
+
+        def counting(structure, formula, variables, free=None):
+            test = original(structure, formula, variables, free)
+
+            def counted(row):
+                drawn.append(row)
+                assert len(drawn) <= 10, "rows are listed before the search"
+                return test(row)
+
+            return counted
+
+        monkeypatch.setattr(solver, "row_test", counting)
+        structure = Structure(Vocabulary(), 10 ** 6)
+        assert wt_solve(WtInstance(structure, parse("x=y"), 1)) == Team.make(["x", "y"], [(0, 0)])
+        assert drawn == [(0, 0)]
+
     def test_k_zero_returns_empty_team(self):
         instance = WtInstance(k3(), parse("x!=x"), 0)
         assert wt_solve(instance) == Team.empty(["x"])
@@ -328,6 +398,15 @@ class TestWeightedDefinability:
         sym = edges + [(b, a) for a, b in edges]
         assert wd_solve(structure_with_edges(5, sym), clique_wd_formula(), 3) is None
 
+    def test_polarity_is_read_once_per_formula(self, monkeypatch):
+        walks = []
+        original = WdFormula.occurrences
+        monkeypatch.setattr(WdFormula, "occurrences", lambda wd: walks.append(wd) or original(wd))
+        wd = clique_wd_formula()
+        for k in range(1, 4):
+            wd_solve(k3(), wd, k)
+        assert walks == [wd]
+
     def test_wd_solve_k_zero(self):
         assert wd_solve(k3(), clique_wd_formula(), 0) == frozenset()
 
@@ -409,8 +488,7 @@ def _random_wd_sentence(rng, polarity, arity):
 
 def _reference_wd_solve(structure, wd, k):
     universe = list(itertools.product(range(structure.domain_size), repeat=wd.arity))
-    for combo in colex_subsets(len(universe), k):
-        interpretation = frozenset(universe[i] for i in combo)
+    for interpretation in _colex_reference(universe, k):
         if wd_check(structure, wd, interpretation):
             return interpretation
     return None
@@ -437,8 +515,8 @@ def _reference_wt_witness(structure, formula, k):
     """The colex-first size-k team the exhaustive evaluator accepts, over all rows."""
     variables = tuple(sorted(free_vars(formula)))
     rows = canonical_rows(structure.domain_size, variables)
-    for combo in colex_subsets(len(rows), k):
-        team = Team(variables, frozenset(rows[i] for i in combo))
+    for chosen in _colex_reference(rows, k):
+        team = Team(variables, chosen)
         if eval_team(structure, team, formula):
             return team
     return None
